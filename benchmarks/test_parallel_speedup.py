@@ -3,13 +3,14 @@
 Serial vs DOP-4 execution of the long-tail scan/aggregate pool, under
 both worker-pool backends.  Two timing surfaces are reported:
 
-* **wall clock** — best-of-3 totals over the query pool.  Since the
-  fused region kernels landed, the DOP-4 engine does strictly less work
-  than the serial engine (single-pass scan->filter->reduce per region
-  batch, no intermediate materialisation), so real wall speedup shows
-  even on a single-core container; the headline ``wall_ratio`` (serial /
-  thread-backend parallel) carries an assertion (> 1.5x) plus a
-  regression gate against the committed ``BENCH_parallel.json``.
+* **wall clock** — best-of-3 totals over the query pool.  The grouping
+  route depends on the plan alone, so DOP 1 and DOP 4 run the same fused
+  region kernels (single-pass scan->filter->reduce per region batch, no
+  intermediate materialisation) and do the same work; the headline
+  ``wall_ratio`` (DOP-1 wall / thread-backend DOP-4 wall) measures
+  parallelism alone, which a 2-core host caps well below DOP.  It is
+  asserted >= 1.0 (DOP 4 must not lose to DOP 1) plus a regression gate
+  against the committed ``BENCH_parallel.json``.
 * **simulated speedup** — from the pool's own accounting: serial-
   equivalent cost is the sum of task CPU spans (``busy_seconds``), the
   parallel cost is the list-scheduled makespan of those spans over the
@@ -185,9 +186,9 @@ def test_parallel_speedup_customer_workload(
         + "\n"
     )
 
-    assert wall_ratio > 1.5, (
-        "fused DOP-%d execution should beat serial by > 1.5x in wall time,"
-        " got %.2fx" % (DOP, wall_ratio)
+    assert wall_ratio >= 1.0, (
+        "DOP-%d execution should not lose to DOP 1 in wall time, got %.2fx"
+        % (DOP, wall_ratio)
     )
     assert sim_speedup >= 1.5, (
         "morsel parallelism should cut simulated elapsed time by >= 1.5x,"

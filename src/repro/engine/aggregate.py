@@ -1,10 +1,19 @@
 """Vectorised grouping and aggregation (paper II.B.7).
 
-Groups are resolved with a single ``np.unique(return_inverse)`` pass over
-the key columns; aggregates then reduce with ``np.bincount``-style
-scatter-adds, so the whole operator is a handful of vectorised passes
-(the cache-efficient, partition-into-chunks strategy the paper describes,
-expressed in numpy).
+Every GROUP BY and DISTINCT encodes its keys through one kernel,
+:func:`repro.engine.fused.group_codes`, and the route to a result depends
+on the plan alone (:meth:`GroupByOp.parallel_safe`), never on the DOP:
+
+* parallel-safe aggregate sets run the fused reduce
+  (:mod:`repro.engine.fused`) — scan→aggregate fusion when the child chain
+  matches, a span reduce over the drained child otherwise;
+* every other set (DISTINCT forms, float folds, the variance, covariance,
+  percentile and CUME_DIST families) reduces with ``np.bincount``-style
+  scatter-adds over the group ids in :func:`_compute_aggregate`.
+
+Either way the operator is a handful of vectorised passes (the
+cache-efficient, partition-into-chunks strategy the paper describes,
+expressed in numpy), and groups come out NULL first, then ascending.
 
 Supported aggregates: COUNT(*), COUNT(x), COUNT(DISTINCT x), SUM, AVG,
 MIN, MAX, VAR_POP, VAR_SAMP/VARIANCE, STDDEV, STDDEV_POP, STDDEV_SAMP,
@@ -18,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine import fused
 from repro.engine.expression import Batch, Expr
 from repro.engine.operators import Operator
 from repro.errors import UnsupportedFeatureError
@@ -84,12 +94,12 @@ class GroupByOp(Operator):
         keys: (alias, expression) pairs forming the group key (empty for a
             grand total).
         aggregates: the aggregate outputs.
-        pool: optional :class:`~repro.parallel.pool.WorkerPool`.  With a
-            parallel pool the input splits into morsels, each worker builds
-            partial per-group states, and the states merge in morsel order.
-            Only aggregates whose machine arithmetic is associative take
-            this path (see :meth:`parallel_safe`); everything else stays on
-            the serial code, so results are bit-identical at any DOP.
+        pool: optional :class:`~repro.parallel.pool.WorkerPool`.  A
+            :meth:`parallel_safe` plan splits its input into morsel spans on
+            this pool (one inline span without one) and merges the span
+            partials exactly; every other plan reduces in one pass.  The
+            route never depends on the pool's width, so results are
+            bit-identical at any DOP.
         morsel_rows: rows per morsel (default
             :data:`~repro.parallel.morsel.DEFAULT_MORSEL_ROWS`).
     """
@@ -111,7 +121,7 @@ class GroupByOp(Operator):
         self.parallel_run = None
         #: Fusion telemetry (EXPLAIN ANALYZE): "scan-agg" when the whole
         #: scan→aggregate chain ran fused, "batch-agg" for a fused reduce
-        #: over the drained child, None for the unfused paths.
+        #: over the drained child, None for the one-pass reduce.
         self.fused_mode = None
         self.fused_cache = None
         #: Planner-assigned structural signature; part of the fused
@@ -119,16 +129,16 @@ class GroupByOp(Operator):
         self.shape_key = ""
 
     def parallel_safe(self) -> bool:
-        """True when every aggregate merges exactly across morsels.
+        """True when every aggregate merges exactly across morsel spans.
 
         COUNT / MIN / MAX always merge exactly; SUM when the physical
         accumulator is int64 (integers and scaled DECIMALs — modular int64
         addition is associative); AVG for integer arguments (integer-valued
         float64 division of an exact integer sum).  DISTINCT forms and the
         float-accumulating families (DOUBLE SUM/AVG, variance, percentiles)
-        round differently under re-association, so they stay serial.
-        Approximate (float) group keys also stay serial: NaN ordering under
-        a partial-state merge is not worth the hazard.
+        round differently under re-association, so they reduce in one pass.
+        Approximate (float) group keys also do: NaN ordering under a
+        partial merge is not worth the hazard.
         """
         for _, expr in self.keys:
             if expr.dtype.is_approximate:
@@ -152,234 +162,47 @@ class GroupByOp(Operator):
         return True
 
     def execute(self):
-        pool = self.pool
-        if pool is not None and pool.is_parallel and self.parallel_safe():
+        safe = self.parallel_safe()
+        if safe:
             # Whole-chain fusion: when the child is a project/filter chain
             # over a multi-region scan, each pool task scans K regions and
             # reduces them in place — the decoded scan output is never
             # materialised (see repro.engine.fused).
-            from repro.engine import fused
-
             plan = fused.match_scan_agg(self)
             if plan is not None:
-                result = fused.execute_scan_agg(self, plan, pool)
-                if result is not None:
-                    columns, n_groups, input_rows = result
-                    self.stats = GroupStats(
-                        input_rows=input_rows, groups=n_groups
-                    )
-                    yield Batch.from_columns(columns)
-                    return
+                columns, n_groups, input_rows = fused.execute_scan_agg(self, plan)
+                self.stats = GroupStats(input_rows=input_rows, groups=n_groups)
+                yield Batch.from_columns(columns)
+                return
         batch = self.child.run()
         self.stats = GroupStats(input_rows=batch.n)
         if batch.n == 0 and not batch.columns:
             # A drained-empty child lost its schema: rebuild typed empty
             # columns for every column reference the aggregates/keys read.
             batch = _synthesize_empty(self.keys, self.aggregates)
-        if pool is not None and pool.is_parallel and batch.n > 1 and self.parallel_safe():
-            from repro.parallel.morsel import morsel_ranges
-
-            morsels = morsel_ranges(batch.n, self.morsel_rows)
-            if len(morsels) > 1:
-                yield self._execute_parallel(batch, morsels, pool)
-                return
-        if not self.keys:
-            self.stats.groups = 1
-            yield self._grand_total(batch)
-            return
-        if batch.n == 0:
-            yield Batch(
-                columns={
-                    **{alias: ColumnVector(e.dtype, np.empty(0, e.dtype.numpy_dtype), None)
-                       for alias, e in self.keys},
-                    **{s.alias: ColumnVector(s.output_type(), np.empty(0, s.output_type().numpy_dtype), None)
-                       for s in self.aggregates},
-                },
-                n=0,
-            )
-            return
-        key_vectors = [(alias, expr.eval(batch)) for alias, expr in self.keys]
-        group_ids, representatives, n_groups = _group_ids(key_vectors, batch.n)
-        self.stats.groups = int(n_groups)
-        columns: dict[str, ColumnVector] = {}
-        for alias, vector in key_vectors:
-            columns[alias] = vector.take(representatives)
-        for spec in self.aggregates:
-            columns[spec.alias] = _compute_aggregate(spec, batch, group_ids, n_groups)
+        if safe:
+            columns, n_groups = fused.group_reduce(self, batch)
+        else:
+            columns, n_groups = self._reduce(batch)
+        self.stats.groups = n_groups
         yield Batch.from_columns(columns)
 
-    def _grand_total(self, batch: Batch) -> Batch:
-        group_ids = np.zeros(batch.n, dtype=np.int64)
-        columns = {
-            spec.alias: _compute_aggregate(spec, batch, group_ids, 1)
-            for spec in self.aggregates
-        }
-        return Batch.from_columns(columns)
-
-    # -- morsel-parallel path ----------------------------------------------------
-
-    def _execute_parallel(self, batch: Batch, morsels, pool) -> Batch:
-        """Fused span reduction over the drained input batch.
-
-        Key/argument expressions evaluate once over the whole batch, then
-        batched morsel spans reduce through the fused array kernels
-        (:mod:`repro.engine.fused`).  Plans whose key encoding cannot be
-        packed fall back to the original per-group state merge."""
-        from repro.engine import fused
-
-        try:
-            columns, n_groups = fused.parallel_group_reduce(self, batch, pool)
-        except fused.FusionFallback:
-            return self._execute_parallel_states(batch, morsels, pool)
-        self.stats.groups = n_groups
-        return Batch.from_columns(columns)
-
-    def _execute_parallel_states(self, batch: Batch, morsels, pool) -> Batch:
-        """Partial per-group states per morsel, merged in morsel order, then
-        groups re-sorted into the serial engine's output order (per column:
-        NULL first, then ascending values — exactly ``np.unique``'s code
-        order in :func:`_group_ids`)."""
-        from repro.parallel.morsel import MorselMerger
-
-        def partials(rng):
-            start, stop = rng
-            return self._morsel_partials(batch.take(np.arange(start, stop)))
-
-        per_morsel = pool.map(partials, morsels, label="group-by")
-        self.parallel_run = pool.last_run
-        merger = MorselMerger(len(self.aggregates))
-        for part in per_morsel:
-            merger.add_morsel(part)
-        ordered = merger.ordered_groups(sort_key=_serial_group_order)
-        self.stats.groups = len(ordered)
+    def _reduce(self, batch: Batch):
+        """One-pass reduce for plans outside :meth:`parallel_safe`."""
         columns: dict[str, ColumnVector] = {}
-        for k, (alias, expr) in enumerate(self.keys):
-            columns[alias] = _key_column(expr.dtype, [key[k] for key in ordered])
-        for j, spec in enumerate(self.aggregates):
-            states = [merger.groups[key][j] for key in ordered]
-            columns[spec.alias] = _partial_result(spec, states)
-        return Batch.from_columns(columns)
-
-    def _morsel_partials(self, sub: Batch) -> dict:
-        """One morsel's {group key tuple: [PartialAgg per aggregate]}."""
-        n = sub.n
         if self.keys:
-            key_vectors = [(alias, expr.eval(sub)) for alias, expr in self.keys]
-            group_ids, representatives, n_groups = _group_ids(key_vectors, n)
-            group_keys = []
-            for g in range(int(n_groups)):
-                r = int(representatives[g])
-                parts = []
-                for _, vector in key_vectors:
-                    if vector.null_mask()[r]:
-                        parts.append(None)
-                    else:
-                        parts.append(_py_value(vector.values[r]))
-                group_keys.append(tuple(parts))
+            key_vectors = [(alias, expr.eval(batch)) for alias, expr in self.keys]
+            group_ids, key_cols, n_groups = fused.group_codes(
+                [(v.values, v.nulls) for _, v in key_vectors]
+            )
+            for (alias, vector), (values, nulls) in zip(key_vectors, key_cols):
+                columns[alias] = ColumnVector(vector.dtype, values, nulls)
         else:
-            group_ids = np.zeros(n, dtype=np.int64)
+            group_ids = np.zeros(batch.n, dtype=np.int64)
             n_groups = 1
-            group_keys = [()]
-        rows_per_group = np.bincount(group_ids, minlength=n_groups)
-        per_spec = [
-            self._spec_states(spec, sub, group_ids, int(n_groups), rows_per_group)
-            for spec in self.aggregates
-        ]
-        return {
-            key: [states[g] for states in per_spec]
-            for g, key in enumerate(group_keys)
-        }
-
-    def _spec_states(self, spec, sub, group_ids, n_groups, rows_per_group):
-        from repro.parallel.morsel import PartialAgg
-
-        func = spec.func.upper()
-        states = [PartialAgg(rows=int(rows_per_group[g])) for g in range(n_groups)]
-        if func == "COUNT" and not spec.args:
-            return states
-        vector = spec.args[0].eval(sub)
-        live = ~vector.null_mask()
-        ids = group_ids[live]
-        values = vector.values[live]
-        counts = np.bincount(ids, minlength=n_groups)
-        for g in range(n_groups):
-            states[g].count = int(counts[g])
-        if func in ("SUM", "AVG"):
-            if values.dtype != np.int64:
-                # parallel_safe() guarantees an integral argument; coerce
-                # stray representations to the exact accumulator.
-                values = values.astype(np.int64)
-            sums = np.zeros(n_groups, dtype=np.int64)
-            np.add.at(sums, ids, values)
-            for g in range(n_groups):
-                states[g].total = int(sums[g])
-        elif func in ("MIN", "MAX"):
-            for g, value in zip(ids.tolist(), values.tolist()):
-                state = states[g]
-                if state.minimum is None or value < state.minimum:
-                    state.minimum = value
-                if state.maximum is None or value > state.maximum:
-                    state.maximum = value
-        return states
-
-
-def _py_value(value):
-    return value.item() if isinstance(value, np.generic) else value
-
-
-def _serial_group_order(key: tuple):
-    """Sort key reproducing the serial engine's group order: per column,
-    NULL sorts first (code 0 in :func:`_group_ids`), then values ascend."""
-    return tuple((0,) if v is None else (1, v) for v in key)
-
-
-def _key_column(dtype: DataType, values_list) -> ColumnVector:
-    np_dtype = dtype.numpy_dtype
-    n = len(values_list)
-    out = np.empty(n, dtype=np_dtype)
-    nulls = np.zeros(n, dtype=bool)
-    filler = "" if np_dtype == object else 0
-    for i, value in enumerate(values_list):
-        if value is None:
-            nulls[i] = True
-            out[i] = filler
-        else:
-            out[i] = value
-    return ColumnVector(dtype, out, nulls if nulls.any() else None)
-
-
-def _partial_result(spec: AggregateSpec, states) -> ColumnVector:
-    """Finalise merged :class:`~repro.parallel.morsel.PartialAgg` states."""
-    func = spec.func.upper()
-    n = len(states)
-    if func == "COUNT":
-        if not spec.args:
-            source = [s.rows for s in states]
-        else:
-            source = [s.count for s in states]
-        return ColumnVector(BIGINT, np.array(source, dtype=np.int64), None)
-    empty = np.array([s.count == 0 for s in states], dtype=bool)
-    nulls = empty if empty.any() else None
-    out_dt = spec.output_type()
-    if func in ("MIN", "MAX"):
-        np_dtype = out_dt.numpy_dtype
-        filler = "" if np_dtype == object else 0
-        out = np.full(n, filler, dtype=np_dtype)
-        for i, state in enumerate(states):
-            value = state.minimum if func == "MIN" else state.maximum
-            if value is not None:
-                out[i] = value
-        return ColumnVector(out_dt, out, nulls)
-    if func == "SUM":
-        out = np.array([int(s.total) for s in states], dtype=np.int64)
-        return ColumnVector(out_dt, out, nulls)
-    # AVG over integer arguments: the integer partial sums are exact, so a
-    # single float64 division reproduces the serial bincount/divide result.
-    out = np.array(
-        [float(s.total) / s.count if s.count else 0.0 for s in states],
-        dtype=np.float64,
-    )
-    return ColumnVector(DOUBLE, out, nulls)
+        for spec in self.aggregates:
+            columns[spec.alias] = _compute_aggregate(spec, batch, group_ids, n_groups)
+        return columns, n_groups
 
 
 def _synthesize_empty(keys, aggregates) -> Batch:
@@ -415,29 +238,6 @@ def _synthesize_empty(keys, aggregates) -> Batch:
     return Batch(columns=columns, n=0)
 
 
-def _group_ids(key_vectors, n: int):
-    """Assign dense group ids; returns (ids, representative row per group, k).
-
-    NULL forms its own group (SQL GROUP BY treats NULLs as equal).
-    """
-    encoded = []
-    for _, vector in key_vectors:
-        values = vector.values
-        nulls = vector.null_mask()
-        # Factorise each key column independently, reserving code 0 for NULL.
-        uniq, inverse = np.unique(values, return_inverse=True)
-        codes = inverse.astype(np.int64) + 1
-        codes[nulls] = 0
-        encoded.append(codes)
-    combined = encoded[0]
-    for codes in encoded[1:]:
-        combined = combined * (int(codes.max()) + 1) + codes
-    uniq, first_index, inverse = np.unique(
-        combined, return_index=True, return_inverse=True
-    )
-    return inverse.astype(np.int64), first_index, uniq.size
-
-
 def _compute_aggregate(
     spec: AggregateSpec, batch: Batch, group_ids: np.ndarray, n_groups: int
 ) -> ColumnVector:
@@ -469,7 +269,9 @@ def _compute_aggregate(
     group_counts = np.bincount(ids, minlength=n_groups).astype(np.int64)
     empty = group_counts == 0  # groups where every input was NULL
     if func in ("MIN", "MAX"):
-        return _min_max(vector, values, ids, n_groups, empty, func, out_dt)
+        out = fused._min_max_span(func.lower(), ids, values, n_groups)
+        out[empty] = "" if out.dtype == object else 0  # filler under NULL
+        return ColumnVector(out_dt, out, empty if empty.any() else None)
     if spec.distinct:
         ids, values = _distinct_pairs(ids, values)
         group_counts = np.bincount(ids, minlength=n_groups).astype(np.int64)
@@ -530,19 +332,6 @@ def _distinct_pairs(ids: np.ndarray, values: np.ndarray):
             seen.add((g, v))
             keep[i] = True
     return ids[keep], values[keep]
-
-
-def _min_max(vector, values, ids, n_groups, empty, func, out_dt):
-    np_dtype = vector.values.dtype
-    filler = "" if np_dtype == object else 0
-    out = np.full(n_groups, filler, dtype=np_dtype)
-    initialised = np.zeros(n_groups, dtype=bool)
-    better = (lambda a, b: a < b) if func == "MIN" else (lambda a, b: a > b)
-    for g, v in zip(ids.tolist(), values.tolist()):
-        if not initialised[g] or better(v, out[g]):
-            out[g] = v
-            initialised[g] = True
-    return ColumnVector(out_dt, out, empty if empty.any() else None)
 
 
 def _sum_result(vector, values, ids, n_groups, float_sums, empty, out_dt):

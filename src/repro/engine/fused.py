@@ -1,23 +1,20 @@
 """Fused region pipelines: predicate→project→aggregate in whole-array passes.
 
 The paper's BLU engine gets its speed from running each query stage as a
-vectorised kernel over columnar data rather than interpreting tuples.  Our
-morsel-parallel group-by originally did the opposite inside each task —
-per-group Python dictionaries of ``PartialAgg`` states — so DOP-4 execution
-lost to the serial engine on wall clock.  This module compiles a
-parallel-safe ``GroupByOp`` (and, when the plan allows, its whole
-project/filter/scan chain) into *fused kernels*: every pool task makes a
-handful of GIL-releasing numpy calls over its span of rows and returns
+vectorised kernel over columnar data rather than interpreting tuples.  This
+module is the grouping kernel: :func:`group_codes` encodes the keys of every
+GROUP BY and DISTINCT, and every ``parallel_safe()`` group-by — at any DOP,
+with or without a worker pool — reduces through the fused kernels below.
+Each span of rows costs a handful of GIL-releasing numpy calls and returns
 small per-group accumulator arrays that merge associatively.
 
 Three layers:
 
 * **Span reduction** (:func:`_reduce_span`): factorise the span's group
-  keys with the :mod:`repro.simd.factorize` kernels, then reduce every
-  aggregate with ``bincount`` / ``ufunc.at`` scatter ops.  The accumulator
-  arithmetic is exactly the serial engine's (modular int64 sums, float64
-  division of exact integer sums for AVG), so merged results are
-  bit-identical to the unfused operator for every ``parallel_safe()`` plan.
+  keys with :func:`group_codes`, then reduce every aggregate with
+  ``bincount`` / ``ufunc.at`` scatter ops.  The accumulator arithmetic is
+  exact (modular int64 sums, float64 division of exact integer sums for
+  AVG), so the merged result does not depend on how rows split into spans.
 * **Scan fusion** (:func:`match_scan_agg` / :func:`execute_scan_agg`):
   when the group-by sits on a project/filter chain over a region-organised
   table scan, each pool task scans K regions (synopsis skipping and
@@ -48,7 +45,7 @@ from repro.types.datatypes import BIGINT, DOUBLE
 from repro.verify import sanitizer
 
 #: Combined radix beyond which multi-column key packing would overflow
-#: int64; such plans revert to the unfused (state-merging) path.
+#: int64; :func:`group_codes` re-densifies the packed prefix before it.
 _RADIX_LIMIT = 1 << 62
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -56,8 +53,10 @@ _INT64_MIN = np.iinfo(np.int64).min
 
 
 class FusionFallback(Exception):
-    """A fused kernel cannot reproduce serial semantics for this input;
-    the caller must revert to the unfused execution path."""
+    """An aggregate set admitted by ``parallel_safe()`` has no fused recipe.
+
+    Raised only by :func:`compile_recipes`; the plan verifier's
+    ``fused-gate`` check flags such a plan before it runs."""
 
 
 # -- group-key encoding ----------------------------------------------------------
@@ -68,46 +67,44 @@ def group_codes(key_pairs):
 
     ``key_pairs`` is one ``(values, nulls-or-None)`` pair per key column.
     Returns ``(ids, key_cols, k)``: int64 ids in ``0..k-1`` whose ascending
-    order is the serial engine's group output order (per column NULL first,
-    then values ascending), and ``key_cols`` as ``(values, nulls)`` pairs
-    holding each group's key with the physical filler (0 / "") under NULL —
-    the same representation :func:`repro.engine.aggregate._key_column`
-    produces.
+    order is the group output order (per column NULL first, then values
+    ascending), and ``key_cols`` as ``(values, nulls)`` pairs holding each
+    group's key read from a representative row, with the physical filler
+    (0 / "") under NULL.
+
+    Per-column codes pack into one int64 radix code.  When the running
+    radix product would pass :data:`_RADIX_LIMIT`, the packed prefix is
+    re-densified with :func:`factorize_int` first; that is order-preserving
+    and bounds the prefix radix by the row count, so packing never
+    overflows and never raises.
     """
-    encoded = []
-    uniques = []
-    radixes = []
+    n = key_pairs[0][0].shape[0]
+    combined = np.zeros(n, dtype=np.int64)
+    size = 1
     for values, nulls in key_pairs:
         codes, uniq = factorize(values, nulls)
-        encoded.append(codes)
-        uniques.append(uniq)
-        radixes.append(uniq.size + 1)
-    combined = encoded[0]
-    size = radixes[0]
-    for codes, radix in zip(encoded[1:], radixes[1:]):
+        radix = uniq.size + 1
         if size > _RADIX_LIMIT // radix:
-            raise FusionFallback("combined group-key radix exceeds int64")
-        size *= radix
+            combined, dense = factorize_int(combined)
+            size = dense.size + 1
         combined = combined * radix + codes
+        size *= radix
     packed_codes, packed_uniques = factorize_int(combined)
     ids = packed_codes - 1
     k = packed_uniques.size
-    # Unpack each group's per-column code right-to-left.
-    codes_per_col: list = [None] * len(key_pairs)
-    rem = packed_uniques
-    for i in range(len(key_pairs) - 1, 0, -1):
-        codes_per_col[i] = rem % radixes[i]
-        rem = rem // radixes[i]
-    codes_per_col[0] = rem
+    rep = np.empty(k, dtype=np.int64)
+    rep[ids] = np.arange(n, dtype=np.int64)
     key_cols = []
-    for (values, _), uniq, codes in zip(key_pairs, uniques, codes_per_col):
-        nulls = codes == 0
-        filler = "" if values.dtype == object else 0
-        vals = np.full(k, filler, dtype=values.dtype)
-        live = ~nulls
-        if live.any():
-            vals[live] = uniq[codes[live] - 1]
-        key_cols.append((vals, nulls if nulls.any() else None))
+    for values, nulls in key_pairs:
+        vals = values[rep]
+        group_nulls = None
+        if nulls is not None:
+            group_nulls = nulls[rep]
+            if group_nulls.any():
+                vals[group_nulls] = "" if values.dtype == object else 0
+            else:
+                group_nulls = None
+        key_cols.append((vals, group_nulls))
     return ids, key_cols, k
 
 
@@ -477,25 +474,33 @@ def _map_spans(pool, key_pairs, arg_pairs, recipe_kinds, spans, label):
 # -- batch-level fused group-by (drained child) ----------------------------------
 
 
-def parallel_group_reduce(op, batch, pool):
-    """Fused morsel-parallel group-by over one drained input batch.
+def group_reduce(op, batch):
+    """Fused group-by over one drained input batch.
 
     Evaluates key and argument expressions once over the whole batch (one
-    vectorised pass each), splits the rows into batched morsel spans, and
-    reduces each span with the fused kernels.  Raises
-    :class:`FusionFallback` when the key encoding cannot be packed.
+    vectorised pass each), splits the rows into batched morsel spans on the
+    operator's pool — one inline span without a pool — reduces each span
+    with the fused kernels and merges the partials.
     """
+    pool = op.pool
     recipes, arg_exprs = compile_recipes(op.aggregates)
     key_vectors = [(alias, expr.eval(batch)) for alias, expr in op.keys]
     arg_vectors = [expr.eval(batch) for expr in arg_exprs]
     key_pairs = [(v.values, v.nulls) for _, v in key_vectors]
     arg_pairs = [(v.values, v.nulls) for v in arg_vectors]
-    spans = batch_spans(batch.n, op.morsel_rows, pool.parallelism)
     recipe_kinds = [(r.kind, r.arg_index) for r in recipes]
-    partials = _map_spans(
-        pool, key_pairs, arg_pairs, recipe_kinds, spans, label="group-by"
-    )
-    op.parallel_run = pool.last_run
+    if pool is None:
+        partials = (
+            [_reduce_span(batch.n, key_pairs, arg_pairs, recipe_kinds)]
+            if batch.n
+            else []
+        )
+    else:
+        spans = batch_spans(batch.n, op.morsel_rows, pool.parallelism)
+        partials = _map_spans(
+            pool, key_pairs, arg_pairs, recipe_kinds, spans, label="group-by"
+        )
+        op.parallel_run = pool.last_run
     keys_meta = [(alias, v.dtype) for alias, v in key_vectors]
     columns, n_groups = merge_fused(keys_meta, recipes, partials)
     op.fused_mode = "batch-agg"
@@ -615,12 +620,15 @@ class FusedScanAgg:
 def match_scan_agg(op):
     """Compile ``op``'s child chain into a :class:`FusedScanAgg`, or None.
 
-    Fusable shape: a (possibly instrumented) Project/Filter chain ending at
-    a multi-region :class:`TableScanOp` without stride emission, sharing
-    the group-by's worker pool.  Projections are pruned to the columns the
-    keys, aggregates, and intermediate filters actually reference, so the
-    scan decodes exactly what the reduction needs.
+    Fusable shape: a pooled group-by over a (possibly instrumented)
+    Project/Filter chain ending at a multi-region :class:`TableScanOp`
+    without stride emission, sharing the group-by's worker pool.
+    Projections are pruned to the columns the keys, aggregates, and
+    intermediate filters actually reference, so the scan decodes exactly
+    what the reduction needs.
     """
+    if op.pool is None:
+        return None
     node = op.child
     steps = []
     while True:
@@ -700,16 +708,15 @@ def match_scan_agg(op):
     return FusedScanAgg(scan=scan, steps=bound, needed=needed, cache_state="miss")
 
 
-def execute_scan_agg(op, fused: FusedScanAgg, pool):
-    """Run a fused scan→aggregate pipeline on the pool.
+def execute_scan_agg(op, fused: FusedScanAgg):
+    """Run a fused scan→aggregate pipeline on the group-by's pool.
 
     Each task scans its batch of regions (skipping, compressed predicates,
     buffer-pool charging — all via the scan's own ``_scan_region``), applies
     the pruned project/filter chain, and reduces to per-group accumulators.
-    Returns ``(columns, n_groups, input_rows)`` or ``None`` when a fused
-    kernel bails (the caller then runs the unfused plan; scan stats from
-    the abandoned attempt are discarded).
+    Returns ``(columns, n_groups, input_rows)``.
     """
+    pool = op.pool
     scan = fused.scan
     recipes, arg_exprs = compile_recipes(op.aggregates)
     recipe_kinds = [(r.kind, r.arg_index) for r in recipes]
@@ -758,35 +765,25 @@ def execute_scan_agg(op, fused: FusedScanAgg, pool):
     groups = batch_items(
         list(enumerate(scan.regions)), pool.parallelism
     )
-    original_stats = scan.stats
-    scan.stats = ScanStats()
-    try:
-        results = pool.map(
-            task, groups, label="fused-scan:%s" % scan.table.schema.name
-        )
-        run = pool.last_run
-        task_stats = ScanStats()
-        partials = []
-        input_rows = 0
-        for stats, n_rows, parts in results:
-            task_stats.merge(stats)
-            input_rows += n_rows
-            partials.extend(parts)
-        tail = scan._scan_tail(needed)  # charges scan.stats (the fresh one)
-        if tail is not None and tail.n:
-            tail = apply_chain(tail)
-            if tail.n:
-                input_rows += tail.n
-                partials.append(reduce_batch(tail))
-        keys_meta = [(alias, expr.dtype) for alias, expr in key_exprs]
-        columns, n_groups = merge_fused(keys_meta, recipes, partials)
-    except FusionFallback:
-        scan.stats = original_stats
-        return None
-    # Commit: task stats merge in region order, then the tail's charges.
-    original_stats.merge(task_stats)
-    original_stats.merge(scan.stats)
-    scan.stats = original_stats
+    results = pool.map(
+        task, groups, label="fused-scan:%s" % scan.table.schema.name
+    )
+    run = pool.last_run
+    partials = []
+    input_rows = 0
+    # Task stats merge in region order, then the tail's charges.
+    for stats, n_rows, parts in results:
+        scan.stats.merge(stats)
+        input_rows += n_rows
+        partials.extend(parts)
+    tail = scan._scan_tail(needed)
+    if tail is not None and tail.n:
+        tail = apply_chain(tail)
+        if tail.n:
+            input_rows += tail.n
+            partials.append(reduce_batch(tail))
+    keys_meta = [(alias, expr.dtype) for alias, expr in key_exprs]
+    columns, n_groups = merge_fused(keys_meta, recipes, partials)
     scan.parallel_run = run
     op.parallel_run = run
     op.fused_mode = "scan-agg"

@@ -1,9 +1,9 @@
-"""Vectorised key factorisation kernels for fused group-by pipelines.
+"""Vectorised key factorisation kernels behind every GROUP BY and DISTINCT.
 
-The serial engine assigns group codes with ``np.unique(return_inverse)``,
-which sorts every row (``O(n log n)`` with a mergesort under the hood).
-Analytical group keys are overwhelmingly *small-domain* — dictionary-coded
-strings and dense surrogate ids — so these kernels factorise in ``O(n)``:
+``np.unique(return_inverse)`` assigns codes by sorting every row
+(``O(n log n)`` with a mergesort under the hood).  Analytical group keys
+are overwhelmingly *small-domain* — dictionary-coded strings and dense
+surrogate ids — so these kernels factorise in ``O(n)``:
 
 * int64 keys whose value span is comparable to the row count use a
   direct-address presence table plus a ``cumsum`` rank scan (two passes,
@@ -14,9 +14,10 @@ strings and dense surrogate ids — so these kernels factorise in ``O(n)``:
 * everything else falls back to ``np.unique``.
 
 All paths produce the same contract: NULL takes code 0 and non-NULL values
-take codes ``1..k`` in ascending value order — exactly the relative order
-``np.unique`` gives the serial engine, so fused group output sorts
-identically to the unfused operator.
+take codes ``1..k`` in ascending value order.  ``repro.engine.fused.group_codes``
+packs these per-column codes into one radix code and, for wide keys,
+re-densifies the packed prefix with :func:`factorize_int` — the ranks are
+order-preserving, so group output stays NULL first, then ascending.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ def factorize_int(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (1..k) of ``values[i]`` among the distinct values, ``uniques`` the
     distinct values ascending.
     """
+    if values.size == 0:
+        return values.astype(np.int64), values
     lo = int(values.min())
     hi = int(values.max())
     span = hi - lo + 1
@@ -74,10 +77,8 @@ def factorize(
 
     Returns ``(codes, uniques)`` with ``codes`` an int64 array over all
     rows (NULL rows 0, others 1..k ascending) and ``uniques`` the distinct
-    non-NULL values ascending.  Unlike the serial ``_group_ids`` this never
-    ranks the garbage values sitting under NULL slots, but because both
-    paths later compact codes per distinct *surviving* combination, the
-    resulting group partition and sort order are identical.
+    non-NULL values ascending.  The garbage values sitting under NULL slots
+    are never ranked.
     """
     n = values.shape[0]
     if nulls is not None and nulls.any():

@@ -307,8 +307,8 @@ class DropFinallyRelease(Operator):
 class CommuteMerge(Operator):
     """Commute a partial-aggregate merge inside merge-flavoured functions
     (``merge``/``merge_*``/``add_morsel``/``combine*``): reverse the fold
-    order of a loop, or flip ``a.merge(b)`` into ``b.merge(a)``.  The
-    combiners are only deterministic because merges run in morsel order."""
+    order of a loop, or flip ``a.merge(b)`` into ``b.merge(a)``.  Merges
+    must be order-independent or run in morsel order to be deterministic."""
 
     name = "commute-merge"
     description = "commute a merge fold (reverse loop or swap receiver/arg)"

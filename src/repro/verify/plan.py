@@ -98,8 +98,8 @@ def _expected_parallel_safe(op: GroupByOp) -> bool:
     Deliberately *not* a call into the operator: the verifier re-states
     the associativity rules (exact merge for COUNT/MIN/MAX, int64 SUM,
     integer AVG; everything DISTINCT, float-accumulating, or keyed by an
-    approximate type stays serial) so a drive-by edit to either copy
-    trips the differential corpus sweep.
+    approximate type takes the one-pass reduce) so a drive-by edit to
+    either copy trips the differential corpus sweep.
     """
     for _, expr in op.keys:
         if expr.dtype.is_approximate:
@@ -435,11 +435,11 @@ class PlanVerifier:
     def _check_fused_gate(self, op: GroupByOp) -> None:
         """Every parallel-safe aggregate set must compile to fused recipes.
 
-        The parallel group-by path tries the fused vectorized reduce first
-        and only falls back to per-morsel aggregation states on
-        :class:`~repro.engine.fused.FusionFallback`.  A function admitted
-        by ``parallel_safe()`` but rejected by the recipe compiler would
-        silently lose the fused fast path, so the drift is flagged here.
+        ``parallel_safe()`` alone routes a group-by to the fused reduce, at
+        every DOP.  A function admitted by ``parallel_safe()`` but rejected
+        by the recipe compiler would raise
+        :class:`~repro.engine.fused.FusionFallback` at execution time, so
+        the drift is flagged here, before the plan runs.
         """
         if not op.parallel_safe() or not op.aggregates:
             return
@@ -452,8 +452,8 @@ class PlanVerifier:
                 op,
                 "fused-gate",
                 "parallel_safe() admits this aggregate set but the fused "
-                "recipe compiler rejects it (%s): the query will silently "
-                "take the slow per-morsel state path" % exc,
+                "recipe compiler rejects it (%s): the query will fail in "
+                "the fused reduce" % exc,
             )
 
 

@@ -370,21 +370,49 @@ class TestAggregateFinalizers:
     """Kill tests for surviving aggregate mutants (see BENCH_mutation.json)."""
 
     def test_partial_sum_keeps_singleton_groups(self):
-        # constant@src/repro/engine/aggregate.py:361:33 survived: the
-        # "group is empty" test (count == 0 -> NULL) drifting to
-        # count == 1 NULLs out every single-row group in the parallel
-        # finaliser, and no selected test aggregated a one-row group
-        # through the partial path.
-        from repro.engine.aggregate import AggregateSpec, _partial_result
+        # Kill test for the "group is empty" test (count == 0 -> NULL) in
+        # the fused merge drifting to count == 1, which would NULL out
+        # every single-row group; no other test merged a one-row group's
+        # SUM next to an empty one.
+        import numpy as np
+
+        from repro.engine.aggregate import AggregateSpec
         from repro.engine.expression import ColumnRef
-        from repro.parallel import PartialAgg, partial_from_values
+        from repro.engine.fused import _reduce_span, compile_recipes, merge_fused
         from repro.types import BIGINT
 
         spec = AggregateSpec("SUM", [ColumnRef("V", BIGINT)], "S")
-        vector = _partial_result(spec, [partial_from_values([5]), PartialAgg()])
+        recipes, _ = compile_recipes([spec])
+        kinds = [(r.kind, r.arg_index) for r in recipes]
+        keys = (np.array([1, 2], dtype=np.int64), None)
+        values = (np.array([5, 0], dtype=np.int64), np.array([False, True]))
+        partial = _reduce_span(2, [keys], [values], kinds)
+        columns, n_groups = merge_fused([("K", BIGINT)], recipes, [partial])
+        vector = columns["S"]
+        assert n_groups == 2
         assert vector.nulls is not None
         assert vector.nulls.tolist() == [False, True]
         assert int(vector.values[0]) == 5
+
+    def test_covariance_of_a_single_row_group(self):
+        # constant@src/repro/engine/aggregate.py:359:30 and
+        # boundary@src/repro/engine/aggregate.py:368:21 survived: the
+        # mean divisor floor (max(count, 1)) drifting to 2 halves a
+        # one-row group's means, and the sample NULL test (count <= 1)
+        # drifting to count < 1 returns 0 instead of NULL — no selected
+        # test ran a covariance over a group with exactly one row.
+        database = Database()
+        s = database.connect("db2")
+        s.execute("CREATE TABLE pairs (g INT, x DOUBLE, y DOUBLE)")
+        s.execute("INSERT INTO pairs VALUES (1, 3, 5), (2, 1, 2), (2, 3, 6)")
+        rows = s.execute(
+            "SELECT g, COVAR_POP(x, y), COVAR_SAMP(x, y) FROM pairs"
+            " GROUP BY g ORDER BY g"
+        ).rows
+        assert rows[0] == (1, 0.0, None)
+        assert rows[1][0] == 2
+        assert rows[1][1] == pytest.approx(2.0)
+        assert rows[1][2] == pytest.approx(4.0)
 
     def test_covar_pop_descales_decimal_inputs(self):
         # constant@src/repro/engine/aggregate.py:565:17 survived: the

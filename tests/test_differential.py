@@ -440,9 +440,14 @@ def _writer_rows(n):
     return ["(%d, %d, 'w', 1.00)" % (100000 + i, i) for i in range(n)]
 
 
-def _trickle(session, statements, errors):
-    """Writer-thread body: auto-commit single-row inserts, one per call."""
+def _trickle(session, statements, errors, start=None):
+    """Writer-thread body: auto-commit single-row inserts, one per call.
+
+    With a ``start`` event the writer holds its first commit until the
+    event is set (a schedule handshake with the reader)."""
     try:
+        if start is not None:
+            start.wait()
         for statement in statements:
             session.execute(statement)
     except BaseException as exc:  # lint-ok: broad-except (re-raised on the main thread after join)
@@ -639,7 +644,9 @@ def test_serving_cache_differential_oracle_under_churn():
     included.  Windows dirtied by the writer are retried; once the writer
     drains, every query gets a guaranteed-quiet comparison.  The run must
     also actually exercise the cache: hits and commit-hook invalidations
-    both have to occur under churn.
+    both have to occur under churn.  The writer holds its first commit
+    until the reader has stored a cache entry (every query reads ``t``),
+    so that commit invalidates a live entry by schedule, not by luck.
     """
     import threading
 
@@ -655,8 +662,9 @@ def test_serving_cache_differential_oracle_under_churn():
         "INSERT INTO t VALUES %s" % row for row in _writer_rows(120)
     ]
     errors: list = []
+    stored = threading.Event()
     writer = threading.Thread(
-        target=_trickle, args=(writer_session, statements, errors)
+        target=_trickle, args=(writer_session, statements, errors, stored)
     )
     rng = derive_rng(41, "diff-serving-cache")
     queries = [_random_query(rng) for _ in range(50)]
@@ -678,7 +686,10 @@ def test_serving_cache_differential_oracle_under_churn():
     try:
         for sql in queries:
             compare(sql)
+            if gateway.result_cache.stats.stores:
+                stored.set()
     finally:
+        stored.set()  # never strand the writer, even on a failed compare
         writer.join()
     if errors:
         raise errors[0]

@@ -263,3 +263,15 @@ class TestDurabilityCostCharging:
         assert clock.calls == []
         manager._charge(0.125)
         assert clock.calls == [0.125]
+
+
+class TestCacheStatsStartAtZero:
+    """Mutant constant@src/repro/serving/cache.py:68:25 survived: a
+    ``CacheStats.invalidations`` default of 1 instead of 0 went unseen,
+    because every selected test only asserted ``invalidations > 0`` after
+    churn.  A fresh cache must report zero on every counter, so a
+    monreport or bench delta never starts from a phantom event."""
+
+    def test_fresh_result_cache_counters_are_zero(self):
+        stats = ResultCache(Database()).stats
+        assert vars(stats) == dict.fromkeys(vars(stats), 0)

@@ -1,11 +1,11 @@
-"""Morsel-driven parallel execution: pool, combiners, and concurrency.
+"""Morsel-driven parallel execution: pool, span merge, and concurrency.
 
 Four layers of evidence that parallelism never changes an answer:
 
 * unit tests for the scheduling model (``greedy_makespan``) and the
   deterministic-gather contract of :class:`WorkerPool.map`;
-* property tests that the partial-aggregate merge is invariant to morsel
-  size and worker count (associativity-safe combiners only);
+* property tests that the fused span merge is invariant to morsel size
+  and the pool gather to worker count;
 * end-to-end DOP-equivalence: the same SQL through a serial engine and a
   ``parallelism=4`` engine with tiny morsels must match byte-for-byte;
 * a mixed DDL/DML/SELECT stress with eight concurrent sessions on one
@@ -17,24 +17,25 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.database import Database
+from repro.engine.aggregate import AggregateSpec
+from repro.engine.expression import ColumnRef
+from repro.engine.fused import _reduce_span, compile_recipes, merge_fused
 from repro.parallel import (
     DEFAULT_MORSEL_ROWS,
-    MorselMerger,
-    PartialAgg,
     PoolRun,
     TaskSpan,
     WorkerPool,
     default_parallelism,
     greedy_makespan,
-    merge_partials,
     morsel_ranges,
-    partial_from_values,
 )
+from repro.types import BIGINT, varchar_type
 from repro.util.rng import derive_rng
 from repro.verify import sanitizer
 from repro.workloads.tpcds import flush_tables
@@ -189,94 +190,92 @@ class TestMorselRanges:
         assert morsel_ranges(10, 0) == [(0, 10)]  # 0 -> default size
 
 
-_VALUES = st.lists(
-    st.one_of(st.none(), st.integers(min_value=-(10**6), max_value=10**6)),
-    min_size=0,
-    max_size=60,
-)
+_TEXT = varchar_type(8)
+_SPAN_AGGS = [
+    AggregateSpec("COUNT", [], "rows"),
+    AggregateSpec("COUNT", [ColumnRef("v", BIGINT)], "cnt"),
+    AggregateSpec("SUM", [ColumnRef("v", BIGINT)], "sum"),
+    AggregateSpec("MIN", [ColumnRef("v", BIGINT)], "min"),
+    AggregateSpec("MAX", [ColumnRef("v", BIGINT)], "max"),
+    AggregateSpec("AVG", [ColumnRef("v", BIGINT)], "avg"),
+    AggregateSpec("MIN", [ColumnRef("s", _TEXT)], "smin"),
+    AggregateSpec("MAX", [ColumnRef("s", _TEXT)], "smax"),
+]
+_SPAN_ALIASES = ["k"] + [spec.alias for spec in _SPAN_AGGS]
+
+_MAYBE_INT = st.one_of(st.none(), st.integers(min_value=-(10**6), max_value=10**6))
 
 
-def _state_for(values):
-    """Full-input reference state (rows include NULL positions)."""
-    return partial_from_values(
-        [v for v in values if v is not None], rows=len(values)
-    )
+def _pair(values, dtype=np.int64, filler=0):
+    nulls = np.array([v is None for v in values], dtype=bool)
+    array = np.array([filler if v is None else v for v in values], dtype=dtype)
+    return array, (nulls if nulls.any() else None)
 
 
-@given(values=_VALUES, morsel_rows=st.integers(min_value=1, max_value=61))
-@settings(max_examples=120, deadline=None)
-def test_partial_merge_invariant_to_morsel_size(values, morsel_rows):
-    """Merging per-morsel states == aggregating the whole input at once."""
-    whole = _state_for(values)
+def _slice(pair, lo, hi):
+    values, nulls = pair
+    return values[lo:hi], None if nulls is None else nulls[lo:hi]
+
+
+def _span_merge(keys, values, spans):
+    """``_reduce_span`` per span, then ``merge_fused``: ordered output rows.
+
+    Integer aggregates read ``values``; string MIN/MAX read their text."""
+    recipes, arg_exprs = compile_recipes(_SPAN_AGGS)
+    kinds = [(r.kind, r.arg_index) for r in recipes]
+    key_pair = _pair(keys)
+    int_pair = _pair(values)
+    text_pair = _pair([None if v is None else str(v) for v in values], object, "")
+    arg_pairs = [text_pair if e.name == "s" else int_pair for e in arg_exprs]
     partials = [
-        _state_for(values[start:stop])
-        for start, stop in morsel_ranges(len(values), morsel_rows)
-    ]
-    merged = merge_partials(partials)
-    assert merged == whole
-
-
-@given(
-    values=_VALUES,
-    sizes=st.tuples(
-        st.integers(min_value=1, max_value=61),
-        st.integers(min_value=1, max_value=61),
-    ),
-)
-@settings(max_examples=60, deadline=None)
-def test_partial_merge_two_splits_agree(values, sizes):
-    """Any two morsel sizes produce identical merged state."""
-    states = []
-    for size in sizes:
-        states.append(
-            merge_partials(
-                _state_for(values[start:stop])
-                for start, stop in morsel_ranges(len(values), size)
-            )
+        _reduce_span(
+            hi - lo,
+            [_slice(key_pair, lo, hi)],
+            [_slice(pair, lo, hi) for pair in arg_pairs],
+            kinds,
         )
-    assert states[0] == states[1]
+        for lo, hi in spans
+    ]
+    columns, _ = merge_fused([("k", BIGINT)], recipes, partials)
+    return list(zip(*(columns[alias].to_boundary() for alias in _SPAN_ALIASES)))
 
 
 @given(
-    keys=st.lists(st.integers(min_value=0, max_value=5), min_size=0, max_size=60),
+    rows=st.lists(
+        st.tuples(st.one_of(st.none(), st.integers(0, 5)), _MAYBE_INT),
+        min_size=0,
+        max_size=60,
+    ),
     morsel_rows=st.integers(min_value=1, max_value=61),
 )
-@settings(max_examples=80, deadline=None)
-def test_morsel_merger_group_totals(keys, morsel_rows):
-    """Grouped merge across morsels == grouped aggregation of the input."""
-    merger = MorselMerger(n_aggregates=1)
-    for start, stop in morsel_ranges(len(keys), morsel_rows):
-        morsel = {}
-        for k in keys[start:stop]:
-            morsel.setdefault(k, [partial_from_values([])])
-            morsel[k][0].merge(partial_from_values([k]))
-        merger.add_morsel(morsel)
-    expected = {}
-    for k in keys:
-        state = expected.setdefault(k, partial_from_values([]))
-        state.merge(partial_from_values([k]))
-    assert set(merger.ordered_groups()) == set(expected)
-    for k in merger.ordered_groups():
-        assert merger.groups[k][0] == expected[k]
-    # Sorted output order is deterministic whatever the morsel size.
-    assert merger.ordered_groups(sort_key=lambda k: k) == sorted(expected)
+@settings(max_examples=120, deadline=None)
+def test_partial_merge_invariant_to_morsel_size(rows, morsel_rows):
+    """Span partials merged with ``merge_fused`` == one span over the input.
 
-
-def test_morsel_merger_preserves_first_appearance_order():
-    """Unsorted GROUP BY output keeps first-appearance order across morsels.
-
-    Kill test for commute-merge@src/repro/parallel/morsel.py:180:8 (see
-    BENCH_mutation.json): iterating a morsel's groups in reverse preserves
-    every *total* (merge is commutative) but scrambles the documented
-    first-appearance order that unsorted grouped output relies on — and
-    the property test above only compares order-insensitively.
+    Any morsel size from 1 to 61 gives identical *ordered* output (groups
+    NULL first, then ascending), and the totals match a dict reference.
     """
-    merger = MorselMerger(n_aggregates=1)
-    merger.add_morsel({"a": [PartialAgg(rows=1)], "b": [PartialAgg(rows=2)]})
-    assert merger.ordered_groups() == ["a", "b"]
-    merger.add_morsel({"c": [PartialAgg(rows=4)], "a": [PartialAgg(rows=8)]})
-    assert merger.ordered_groups() == ["a", "b", "c"]
-    assert merger.groups["a"][0].rows == 9
+    keys = [k for k, _ in rows]
+    values = [v for _, v in rows]
+    whole = _span_merge(keys, values, [(0, len(rows))] if rows else [])
+    split = _span_merge(keys, values, morsel_ranges(len(rows), morsel_rows))
+    assert split == whole
+    expected = {}
+    for k, v in rows:
+        live = [] if v is None else [v]
+        n_rows, seen = expected.get(k, (0, []))
+        expected[k] = (n_rows + 1, seen + live)
+    order = sorted(expected, key=lambda k: (k is not None, k or 0))
+    assert [row[0] for row in whole] == order
+    for k, n_rows, cnt, total, low, high, _, s_low, s_high in whole:
+        n_expected, seen = expected[k]
+        assert (n_rows, cnt) == (n_expected, len(seen))
+        if seen:
+            assert (total, low, high) == (sum(seen), min(seen), max(seen))
+            text = [str(v) for v in seen]
+            assert (s_low, s_high) == (min(text), max(text))
+        else:
+            assert (total, low, high, s_low, s_high) == (None,) * 5
 
 
 @given(

@@ -285,3 +285,36 @@ class TestRegionVersionStamps:
         newer = region.visible_mask(Snapshot(high=8))
         assert newer is not None
         assert newer.tolist() == [False, True, True, True]
+
+    def test_seal_tail_publishes_region_under_capture_lock(self):
+        # drop-lock@src/repro/storage/table.py:300:8 survived: unwrapping
+        # ``with self._capture_lock:`` in _seal_tail changes nothing a
+        # single-threaded test sees, but a concurrent capture() could then
+        # read the new region *and* the not-yet-cleared tail (rows seen
+        # twice).  Pin that the region append and tail reset run held.
+        table = ColumnTable(
+            TableSchema(name="r", columns=(("id", INTEGER),)), region_rows=100
+        )
+        table.insert_rows([[i] for i in range(4)])
+        inner = table._capture_lock
+        held = []
+
+        class Recorder:
+            def __enter__(self):
+                inner.__enter__()
+                held.append("enter")
+
+            def __exit__(self, *exc):
+                held.append("exit")
+                return inner.__exit__(*exc)
+
+        class Regions(list):
+            def append(self, region):
+                held.append("append")
+                super().append(region)
+
+        table.regions = Regions(table.regions)
+        table._capture_lock = Recorder()
+        table.flush()
+        assert held == ["enter", "append", "exit"]
+        assert table._tail_rows == 0 and len(table.regions) == 1
