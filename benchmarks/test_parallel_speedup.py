@@ -1,13 +1,13 @@
 """Morsel-driven parallelism on the Table-1 customer workload.
 
-Serial vs DOP-4 execution of the long-tail scan/aggregate pool, under
-both worker-pool backends.  Two timing surfaces are reported:
+Serial vs DOP-4 execution of the long-tail scan/aggregate pool on the
+thread worker pool.  Two timing surfaces are reported:
 
 * **wall clock** — best-of-3 totals over the query pool.  The grouping
   route depends on the plan alone, so DOP 1 and DOP 4 run the same fused
   region kernels (single-pass scan->filter->reduce per region batch, no
   intermediate materialisation) and do the same work; the headline
-  ``wall_ratio`` (DOP-1 wall / thread-backend DOP-4 wall) measures
+  ``wall_ratio`` (DOP-1 wall / DOP-4 wall) measures
   parallelism alone, which a 2-core host caps well below DOP.  It is
   asserted >= 1.0 (DOP 4 must not lose to DOP 1) plus a regression gate
   against the committed ``BENCH_parallel.json``.
@@ -47,11 +47,6 @@ WALL_RATIO_TOLERANCE = 0.35
 _RESULT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 
 
-def _make_engine(backend):
-    db = Database(parallelism=DOP, morsel_rows=MORSEL_ROWS, pool_backend=backend)
-    return db, db.connect("db2")
-
-
 def _best_wall(session, pool):
     """Best-of-N total wall seconds over the whole query pool."""
     totals = []
@@ -64,17 +59,10 @@ def _best_wall(session, pool):
 
 
 def _committed_gate():
-    """The committed wall_ratio to gate against, or None.
-
-    Results written before the fused-kernel work (recognised by the
-    missing ``backends`` section) predate real wall speedup and carry no
-    gate.
-    """
+    """The committed wall_ratio to gate against, or None if none is committed."""
     try:
         committed = json.loads(_RESULT_PATH.read_text())
     except (OSError, ValueError):
-        return None
-    if "backends" not in committed:
         return None
     return committed.get("wall_ratio")
 
@@ -82,23 +70,20 @@ def _committed_gate():
 def test_parallel_speedup_customer_workload(
     dashdb_customer, customer_workload, benchmark
 ):
-    thread_db, thread = _make_engine("thread")
-    proc_db, proc = _make_engine("process")
-    for session in (thread, proc):
-        customer_workload.load_base(session)
-        flush_tables(session.database)
+    thread_db = Database(parallelism=DOP, morsel_rows=MORSEL_ROWS)
+    thread = thread_db.connect("db2")
+    customer_workload.load_base(thread)
+    flush_tables(thread_db)
 
     pool = customer_workload.long_tail_pool(POOL_SIZE)
 
-    # Correctness before speed: all three executions answer identically.
+    # Correctness before speed: both executions answer identically.
     for sql in pool:
-        reference = dashdb_customer.execute(sql).rows
-        assert reference == thread.execute(sql).rows, sql
-        assert reference == proc.execute(sql).rows, sql
+        assert dashdb_customer.execute(sql).rows == thread.execute(sql).rows, sql
 
     serial_wall = _best_wall(dashdb_customer, pool)
 
-    # Measure the thread backend over a clean accounting window.
+    # Measure DOP 4 over a clean accounting window.
     busy0 = thread_db.pool.busy_seconds_total
     span0 = thread_db.pool.makespan_seconds_total
     runs0 = thread_db.pool.runs_total
@@ -107,12 +92,9 @@ def test_parallel_speedup_customer_workload(
     makespan = thread_db.pool.makespan_seconds_total - span0
     runs = thread_db.pool.runs_total - runs0
 
-    process_wall = _best_wall(proc, pool)
-
     assert runs > 0 and busy > 0.0, "workload never reached the worker pool"
     sim_speedup = busy / makespan if makespan > 0 else float(DOP)
     wall_ratio = serial_wall / thread_wall if thread_wall > 0 else 1.0
-    process_ratio = serial_wall / process_wall if process_wall > 0 else 1.0
 
     benchmark.pedantic(
         lambda: [thread.execute(sql) for sql in pool[:6]],
@@ -126,18 +108,12 @@ def test_parallel_speedup_customer_workload(
     banner(
         "Parallel execution — customer long-tail pool, serial vs DOP %d" % DOP,
         [
-            "wall: serial %.3fs  thread %.3fs (%.2fx)  process %.3fs (%.2fx)"
-            % (serial_wall, thread_wall, wall_ratio, process_wall, process_ratio),
+            "wall: serial %.3fs  DOP %d %.3fs (%.2fx)"
+            % (serial_wall, DOP, thread_wall, wall_ratio),
             "sim:  busy %.3fs -> makespan %.3fs  speedup %.2fx (assert >= 1.5x)"
             % (busy, makespan, sim_speedup),
-            "pool: %d runs, %d tasks at DOP %d; process runs %d, fallbacks %d"
-            % (
-                runs,
-                thread_db.pool.tasks_total,
-                DOP,
-                proc_db.pool.process_runs_total,
-                proc_db.pool.process_fallbacks_total,
-            ),
+            "pool: %d runs, %d tasks at DOP %d"
+            % (runs, thread_db.pool.tasks_total, DOP),
             "fused pipeline cache: %(hits)d hits, %(misses)d misses" % cache,
         ],
     )
@@ -145,7 +121,6 @@ def test_parallel_speedup_customer_workload(
         "parallel-speedup",
         sim_speedup=sim_speedup,
         wall_ratio=wall_ratio,
-        process_wall_ratio=process_ratio,
         dop=DOP,
     )
     committed_ratio = _committed_gate()
@@ -168,18 +143,6 @@ def test_parallel_speedup_customer_workload(
                     "hits": cache["hits"],
                     "misses": cache["misses"],
                 },
-                "backends": {
-                    "thread": {
-                        "wall_seconds": round(thread_wall, 6),
-                        "wall_ratio": round(wall_ratio, 4),
-                    },
-                    "process": {
-                        "wall_seconds": round(process_wall, 6),
-                        "wall_ratio": round(process_ratio, 4),
-                        "process_runs": proc_db.pool.process_runs_total,
-                        "thread_fallbacks": proc_db.pool.process_fallbacks_total,
-                    },
-                },
             },
             indent=2,
         )
@@ -200,4 +163,3 @@ def test_parallel_speedup_customer_workload(
             % (wall_ratio, committed_ratio, WALL_RATIO_TOLERANCE)
         )
     thread_db.pool.shutdown()
-    proc_db.pool.shutdown()

@@ -83,11 +83,9 @@ class Database:
             the unchanged serial code path.
         morsel_rows: rows per aggregation morsel (default
             :data:`~repro.parallel.morsel.DEFAULT_MORSEL_ROWS`).
-        pool_backend: worker-pool execution backend, ``"thread"`` or
-            ``"process"`` (default: the ``REPRO_POOL_BACKEND`` environment
-            variable, falling back to ``"thread"``).  The process backend
-            ships numeric region buffers through shared memory and falls
-            back to threads per-task for non-picklable kernels.
+        pool_backend: ``None`` or ``"thread"``, the only worker backend;
+            anything else raises ``ValueError``.  Kept only because the
+            committed benchmark (``perfbench/``) passes it.
         durability: optional
             :class:`~repro.durability.manager.DurabilityManager`.  When
             attached, every statement runs as one auto-commit transaction:
@@ -112,6 +110,10 @@ class Database:
         pool_backend: str | None = None,
         durability=None,
     ):
+        if pool_backend not in (None, "thread"):
+            raise ValueError(
+                "pool_backend must be None or 'thread', got %r" % (pool_backend,)
+            )
         self.name = name
         self.compatibility = compatibility
         self.catalog = Catalog()
@@ -132,7 +134,6 @@ class Database:
             parallelism,
             metrics=self.metrics if self.tracer.enabled else None,
             name=name.lower(),
-            backend=pool_backend,
         )
         self.morsel_rows = morsel_rows
         self.durability = durability

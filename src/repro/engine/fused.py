@@ -21,12 +21,9 @@ Three layers:
   compressed predicates included) and reduces them in place — the full
   decoded scan output is never materialised or concatenated.  Compiled
   chains are cached in :data:`PIPELINE_CACHE`, an LRU keyed on plan shape.
-* **Transport**: thread-backend tasks close over the arrays; under the
-  process backend numeric inputs ship via ``multiprocessing.shared_memory``
-  (:func:`_map_spans_shm`) so worker processes read the buffers without
-  copying them through pickles.  Non-picklable kernels (object columns,
-  buffer-pool closures) fall back to the thread backend inside
-  :class:`~repro.parallel.pool.WorkerPool`.
+* **Transport**: none.  Pool workers are threads of this process, so
+  each span task closes over the input arrays and slices its rows
+  without copying; numpy releases the GIL inside the reduction calls.
 """
 
 from __future__ import annotations
@@ -368,95 +365,11 @@ def merge_fused(keys_meta, recipes, partials):
     return columns, n_groups
 
 
-# -- shared-memory transport (process backend) -----------------------------------
-
-
-def _all_numeric(pairs) -> bool:
-    return all(values.dtype != object for values, _ in pairs)
-
-
-def _attach_shm(desc, opened):
-    if desc is None:
-        return None
-    from multiprocessing import shared_memory
-
-    name, dtype_str, shape = desc
-    # Attaching re-registers the segment with the resource tracker, but the
-    # fork-context workers share the parent's tracker and its cache is a
-    # set, so the duplicate collapses and the parent's unlink() remains the
-    # single unregistration.  Do NOT unregister here: that would remove the
-    # entry early and make the parent's unlink() a double-unregister.
-    # flow-ok: resource-pairing (registered in `opened` before any fallible op; _shm_reduce_task closes every registered segment in its finally)
-    shm = shared_memory.SharedMemory(name=name)
-    opened.append(shm)
-    return np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=shm.buf)
-
-
-def _shm_reduce_task(item):
-    """Module-level (picklable) span task for the process backend."""
-    key_descs, arg_descs, recipe_kinds, span = item
-    opened: list = []
-    try:
-        lo, hi = span
-
-        def load(pair):
-            values = _attach_shm(pair[0], opened)
-            nulls = _attach_shm(pair[1], opened)
-            return (
-                values[lo:hi],
-                None if nulls is None else nulls[lo:hi],
-            )
-
-        key_pairs = [load(pair) for pair in key_descs]
-        arg_pairs = [load(pair) for pair in arg_descs]
-        # All outputs are freshly-allocated accumulator arrays, so the
-        # segments can close as soon as the reduction returns.
-        return _reduce_span(hi - lo, key_pairs, arg_pairs, recipe_kinds)
-    finally:
-        for shm in opened:
-            shm.close()
-
-
-def _map_spans_shm(pool, key_pairs, arg_pairs, recipe_kinds, spans, label):
-    """Ship numeric input arrays once via shared memory, then map spans."""
-    from multiprocessing import shared_memory
-
-    blocks: list = []
-
-    def ship(array):
-        if array is None:
-            return None
-        arr = np.ascontiguousarray(array)
-        shm = shared_memory.SharedMemory(create=True, size=max(1, arr.nbytes))
-        blocks.append(shm)
-        view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-        view[:] = arr
-        return (shm.name, arr.dtype.str, arr.shape)
-
-    try:
-        key_descs = [(ship(v), ship(m)) for v, m in key_pairs]
-        arg_descs = [(ship(v), ship(m)) for v, m in arg_pairs]
-        items = [(key_descs, arg_descs, recipe_kinds, span) for span in spans]
-        return pool.map(_shm_reduce_task, items, label=label)
-    finally:
-        for shm in blocks:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
+# -- span mapping ----------------------------------------------------------------
 
 
 def _map_spans(pool, key_pairs, arg_pairs, recipe_kinds, spans, label):
-    """Run the span reduction over the pool with the right transport."""
-    if (
-        pool.backend == "process"
-        and not sanitizer.ENABLED
-        and len(spans) > 1
-        and _all_numeric(key_pairs)
-        and _all_numeric(arg_pairs)
-    ):
-        return _map_spans_shm(pool, key_pairs, arg_pairs, recipe_kinds, spans, label)
+    """Run the span reduction over the pool; each task slices its span."""
 
     def task(span):
         lo, hi = span

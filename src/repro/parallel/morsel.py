@@ -14,13 +14,8 @@ which makes the merge invariant to morsel size and worker count.
 
 from __future__ import annotations
 
-import os
-
 #: Default rows per morsel for engine-level parallel operators.
 DEFAULT_MORSEL_ROWS = 8_192
-
-#: Environment override for morsels batched per pool task.
-MORSEL_BATCH_ENV_VAR = "REPRO_MORSEL_BATCH"
 
 
 def morsel_ranges(n_rows: int, morsel_rows: int | None = None) -> list[tuple[int, int]]:
@@ -33,53 +28,31 @@ def morsel_ranges(n_rows: int, morsel_rows: int | None = None) -> list[tuple[int
     return [(start, min(start + size, n_rows)) for start in range(0, n_rows, size)]
 
 
-def batch_size(n_items: int, parallelism: int, batch: int | None = None) -> int:
+def batch_size(n_items: int, parallelism: int) -> int:
     """Morsels (or regions) batched into one pool task.
 
-    Priority: the explicit ``batch`` argument, then the
-    ``REPRO_MORSEL_BATCH`` environment variable, then an automatic size
-    targeting ~2 tasks per worker — enough tasks that the greedy scheduler
+    Targets ~2 tasks per worker: enough tasks that the greedy scheduler
     can balance the load, few enough that per-task dispatch overhead
     amortises over K morsels.
     """
-    if batch is None:
-        env = os.environ.get(MORSEL_BATCH_ENV_VAR)
-        if env:
-            try:
-                batch = int(env)
-            except ValueError:
-                raise ValueError(
-                    "%s must be an integer, got %r" % (MORSEL_BATCH_ENV_VAR, env)
-                ) from None
-            if batch < 1:
-                raise ValueError(
-                    "%s must be positive, got %d" % (MORSEL_BATCH_ENV_VAR, batch)
-                )
-    if batch is not None:
-        if batch < 1:
-            raise ValueError("morsel batch must be positive, got %d" % batch)
-        return batch
     if n_items <= 0:
         return 1
     return max(1, -(-n_items // (2 * max(1, parallelism))))
 
 
-def batch_items(items: list, parallelism: int, batch: int | None = None) -> list[list]:
+def batch_items(items: list, parallelism: int) -> list[list]:
     """Group ``items`` into per-task batches of K consecutive items.
 
     Batches preserve submission order, so flattening per-task results in
     task order reproduces the unbatched gather order exactly.
     """
     items = list(items)
-    k = batch_size(len(items), parallelism, batch)
+    k = batch_size(len(items), parallelism)
     return [items[i : i + k] for i in range(0, len(items), k)]
 
 
 def batch_spans(
-    n_rows: int,
-    morsel_rows: int | None,
-    parallelism: int,
-    batch: int | None = None,
+    n_rows: int, morsel_rows: int | None, parallelism: int
 ) -> list[tuple[int, int]]:
     """Contiguous ``[start, stop)`` spans of K morsels each.
 
@@ -88,5 +61,5 @@ def batch_spans(
     vectorised pass over its span instead of K small ones.
     """
     ranges = morsel_ranges(n_rows, morsel_rows)
-    batched = batch_items(ranges, parallelism, batch)
+    batched = batch_items(ranges, parallelism)
     return [(group[0][0], group[-1][1]) for group in batched]

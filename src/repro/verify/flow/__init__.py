@@ -24,10 +24,10 @@ helper.  reproflow closes that gap:
   bump + touched-table recording, and committing a transaction implies
   serving-cache notification), ``snapshot-scope`` (no snapshot pinning
   inside pool-submitted callables, no snapshot escaping into long-lived
-  attributes), ``resource-pairing`` (shared memory, manual lock
-  acquire/release and manual span enter/exit must pair on exception
-  paths) and ``sqlstate`` (engine errors crossing the Database/Cluster
-  public API carry a SQLSTATE).
+  attributes), ``resource-pairing`` (manual lock acquire/release and
+  manual span enter/exit must pair on exception paths) and ``sqlstate``
+  (engine errors crossing the Database/Cluster public API carry a
+  SQLSTATE).
 
 Findings are suppressed per line with a justification comment::
 

@@ -34,8 +34,8 @@ RULE_DESCRIPTIONS = {
                       "touched-table recording; txn.commit implies all three",
     "snapshot-scope": "no fresh snapshot pinned inside pool-submitted "
                       "callables; snapshots must not escape statement scope",
-    "resource-pairing": "shared memory, manual locks and manual spans are "
-                        "released in a finally block",
+    "resource-pairing": "manual locks and manual spans are released in a "
+                        "finally block",
     "sqlstate": "engine errors crossing the Database/Cluster/gateway public "
                 "API carry a SQLSTATE",
     "suppression-justification": "every flow-ok suppression carries a "

@@ -29,10 +29,8 @@ TXN_COMMIT = "commits-txn"           # a Transaction object is committed
 
 EFFECTS = (MUTATES, WAL, BUMP, TOUCH, PIN, TXN_COMMIT)
 
-#: attribute names whose call mutates table storage — the same set the
-#: demoted per-function ``durability-logging`` lint rule used, imported
-#: so the two can never drift apart.
-from repro.verify.rules import _TABLE_MUTATORS as _MUTATOR_ATTRS  # noqa: E402
+#: ColumnTable methods whose call mutates durable table storage.
+_TABLE_MUTATORS = {"insert_rows", "apply_deletes", "truncate"}
 #: receiver-chain roots for which ``truncate`` is file I/O, not storage.
 _FILE_RECEIVERS = {"f", "fh", "fp", "file", "handle", "wal", "stream"}
 #: attribute names recording the touched-table set.
@@ -95,7 +93,7 @@ def _classify_call(node: ast.Call, eff: DirectEffects) -> None:
         return
     attr = func.attr
     chain = dotted_chain(func)
-    if attr in _MUTATOR_ATTRS:
+    if attr in _TABLE_MUTATORS:
         if attr == "truncate" and _receiver_is_file(chain):
             return
         eff.add(MUTATES, node.lineno)

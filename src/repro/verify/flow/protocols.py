@@ -243,19 +243,12 @@ def check_snapshot_scope(
 
 # -- rule 3: resource-pairing -------------------------------------------------
 
-_PAIRS = (
-    # (acquire attr, release attrs, resource label)
-    ("acquire", ("release",), "lock"),
-    ("__enter__", ("__exit__",), "context"),
-)
-_SHM_RELEASE = {"unlink", "close"}
-
 
 def _whole_subtree_calls(fn_node: ast.AST):
     """All calls in the function *including* nested defs, paired with the
     callee's simple name.  Pairing is checked over the whole lexical body
-    because helpers like ``ship()`` frequently create inside a closure
-    and release in the outer ``finally``."""
+    because a nested helper may acquire inside a closure while the outer
+    ``finally`` releases."""
     for node in ast.walk(fn_node):
         if not isinstance(node, ast.Call):
             continue
@@ -272,10 +265,9 @@ def check_resource_pairing(index: ProjectIndex):
     different function is exactly the pattern this rule exists to ban
     (an exception between the two leaks the resource), so cross-function
     pairing is not given credit.  ``with`` statements are inherently
-    paired and never flagged.  Checked pairs: ``SharedMemory(create=True)``
-    / ``unlink``, ``SharedMemory(name=...)`` attach / ``close``, manual
-    ``acquire`` / ``release`` outside ``with``, manual span or context
-    ``__enter__`` / ``__exit__``.
+    paired and never flagged.  Checked pairs: manual ``acquire`` /
+    ``release`` outside ``with``, manual span or context ``__enter__`` /
+    ``__exit__``.
     """
     for key, info in index.functions.items():
         module = info.module
@@ -289,9 +281,6 @@ def check_resource_pairing(index: ProjectIndex):
         finally_lines = _finally_lines_deep(info.node)
         with_lines = _with_item_lines(info.node)
 
-        shm_creates: list[int] = []
-        shm_attaches: list[int] = []
-        shm_released_in_finally = False
         acquires: list[tuple[int, str]] = []
         releases: list[tuple[int, bool]] = []
         enters: list[int] = []
@@ -299,16 +288,7 @@ def check_resource_pairing(index: ProjectIndex):
 
         for call, attr in _whole_subtree_calls(info.node):
             lineno = call.lineno
-            if attr == "SharedMemory":
-                kwargs = {kw.arg for kw in call.keywords}
-                if "create" in kwargs:
-                    shm_creates.append(lineno)
-                else:
-                    shm_attaches.append(lineno)
-            elif attr in _SHM_RELEASE and _is_shm_receiver(call):
-                if lineno in finally_lines:
-                    shm_released_in_finally = True
-            elif attr == "acquire" and lineno not in with_lines:
+            if attr == "acquire" and lineno not in with_lines:
                 chain = dotted_chain(call.func)
                 acquires.append((lineno, ".".join(chain[:-1])))
             elif attr == "release":
@@ -318,14 +298,6 @@ def check_resource_pairing(index: ProjectIndex):
             elif attr == "__exit__" and lineno in finally_lines:
                 exits_in_finally = True
 
-        for lineno in shm_creates + shm_attaches:
-            if not shm_released_in_finally:
-                yield RawFinding(
-                    "resource-pairing", module, lineno,
-                    "%s opens shared memory but no unlink/close runs in a "
-                    "finally block — an exception leaks the segment"
-                    % info.qualname,
-                )
         for lineno, recv in acquires:
             if not any(fin for _, fin in releases):
                 yield RawFinding(
@@ -350,14 +322,6 @@ def _is_nested(index: ProjectIndex, info: FunctionInfo) -> bool:
         if (info.module, qual) in index.functions:
             return True
     return False
-
-
-def _is_shm_receiver(call: ast.Call) -> bool:
-    chain = dotted_chain(call.func)
-    return any(
-        "shm" in part.lower() or "shared" in part.lower()
-        for part in chain[:-1]
-    )
 
 
 def _finally_lines_deep(fn_node: ast.AST) -> set[int]:

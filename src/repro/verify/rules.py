@@ -18,11 +18,6 @@ invariants (the regimes PRs 1–3 introduced but nothing checked):
 * ``stale-suppression`` — a ``lint-ok`` comment naming a rule that no
   longer fires on its line is itself a finding (full runs only; the
   detection lives in the framework since it needs every rule's output).
-* ``durability-logging`` — demoted to a registered no-op: reproflow's
-  interprocedural ``write-protocol`` rule (``python -m repro.verify.flow``)
-  now enforces mutation ⇒ WAL append + version bump + touched-table
-  recording across helper boundaries, so the per-function check would
-  only double-report.
 * ``lock-order`` — lexically nested lock acquisitions must follow the
   declared global lock order (see :mod:`repro.verify.mc.lockorder`); an
   inversion is half of an ABBA deadlock.
@@ -437,35 +432,6 @@ def check_lock_discipline(ctx: FileContext):
                 "guarding lock (use 'with <lock>:' or register the field "
                 "in _THREAD_CONFINED)" % (kind, target, label)
             )
-
-
-# ---------------------------------------------------------------------------
-# durability-logging (demoted)
-# ---------------------------------------------------------------------------
-
-#: ColumnTable methods that mutate durable table state.  Retained for
-#: reference/tests; the interprocedural analyzer owns the live check.
-_TABLE_MUTATORS = {"insert_rows", "apply_deletes", "truncate"}
-
-
-@rule(
-    "durability-logging",
-    "superseded by reproflow's interprocedural `write-protocol` rule "
-    "(python -m repro.verify.flow src)",
-)
-def check_durability_logging(ctx: FileContext):
-    """Demoted to a registered no-op.
-
-    The per-function check went blind the moment a mutation or its WAL
-    hook moved into a helper, and double-reported whatever reproflow's
-    transitive ``write-protocol`` rule already caught.  The rule name
-    stays registered so ``--rule durability-logging`` and existing
-    ``lint-ok: durability-logging`` suppressions keep working; the actual
-    enforcement — mutation implies WAL append + version bump +
-    touched-table recording, checked over the project call graph — lives
-    in :mod:`repro.verify.flow.protocols`.
-    """
-    return iter(())
 
 
 # ---------------------------------------------------------------------------

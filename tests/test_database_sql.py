@@ -414,6 +414,21 @@ class TestAggregateFinalizers:
         assert rows[1][1] == pytest.approx(2.0)
         assert rows[1][2] == pytest.approx(4.0)
 
+    def test_sample_variance_of_a_single_row_group(self):
+        # A one-row group has no sample variance: VAR_SAMP and
+        # STDDEV_SAMP are NULL there (count <= 1), not 0.
+        database = Database()
+        s = database.connect("db2")
+        s.execute("CREATE TABLE obs (g INT, v DOUBLE)")
+        s.execute("INSERT INTO obs VALUES (1, 3), (2, 1), (2, 3)")
+        rows = s.execute(
+            "SELECT g, VAR_SAMP(v), STDDEV_SAMP(v) FROM obs GROUP BY g ORDER BY g"
+        ).rows
+        assert rows[0] == (1, None, None)
+        assert rows[1][0] == 2
+        assert rows[1][1] == pytest.approx(2.0)
+        assert rows[1][2] == pytest.approx(2.0 ** 0.5)
+
     def test_covar_pop_descales_decimal_inputs(self):
         # constant@src/repro/engine/aggregate.py:565:17 survived: the
         # DECIMAL descale base (10 ** scale) drifting to 11 ** scale is
@@ -424,4 +439,7 @@ class TestAggregateFinalizers:
         s.execute("CREATE TABLE pts (x DECIMAL(5,2), y DOUBLE)")
         s.execute("INSERT INTO pts VALUES (1.00, 2), (2.00, 4), (3.00, 6)")
         value = s.execute("SELECT COVAR_POP(x, y) FROM pts").scalar()
+        assert value == pytest.approx(4.0 / 3.0)
+        # The second argument descales the same way.
+        value = s.execute("SELECT COVAR_POP(y, x) FROM pts").scalar()
         assert value == pytest.approx(4.0 / 3.0)

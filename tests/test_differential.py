@@ -295,27 +295,15 @@ def test_dml_divergence_check(engines):
 
 @pytest.fixture(scope="module")
 def backend_engines():
-    """Backend sweep: serial vs thread-pool DOP 4 vs process-pool DOP 4.
-
-    The two parallel engines run identical configurations except for the
-    ``pool_backend``; the process engine additionally exercises the
-    shared-memory span transport (numeric reduces) and the per-run thread
-    fallback (closure kernels, string keys).
-    """
+    """Backend sweep: serial vs thread-pool DOP 4 over region-organised data."""
     dash = Database().connect("db2")
-    thread_db = Database(
-        parallelism=4, morsel_rows=257, region_rows=512, pool_backend="thread"
-    )
-    proc_db = Database(
-        parallelism=4, morsel_rows=257, region_rows=512, pool_backend="process"
-    )
+    thread_db = Database(parallelism=4, morsel_rows=257, region_rows=512)
     thread = thread_db.connect("db2")
-    proc = proc_db.connect("db2")
     ddl = "CREATE TABLE t (a INT, b INT, c VARCHAR(4), d DECIMAL(8,2))"
     dim_ddl = "CREATE TABLE dim (c VARCHAR(4) PRIMARY KEY, w INT)"
     rows = _build_rows(23)
     dims = ", ".join("('v%d', %d)" % (i, i * 10) for i in range(8))
-    for system in (dash, thread, proc):
+    for system in (dash, thread):
         system.execute(ddl)
         system.execute(dim_ddl)
         for start in range(0, len(rows), 1000):
@@ -324,100 +312,27 @@ def backend_engines():
             )
         system.execute("INSERT INTO dim VALUES " + dims)
         flush_tables(system.database)
-    yield dash, thread, proc
+    yield dash, thread
     thread_db.pool.shutdown()
-    proc_db.pool.shutdown()
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_backend_sweep_agrees(backend_engines, seed):
-    """serial x thread-pool x process-pool: identical answers, and the two
-    parallel backends must be *byte-identical* (same rows in the same
-    order) — they share the plan, morsel split, and gather order, so any
-    ordering drift means the process transport reordered something."""
-    dash, thread, proc = backend_engines
+    """serial x thread-pool: identical answers on random queries."""
+    dash, thread = backend_engines
     rng = derive_rng(seed, "diff-backends")
     for i in range(20):
         sql = _random_query(rng)
         reference = _normalise(dash.execute(sql).rows)
-        t = thread.execute(sql)
-        p = proc.execute(sql)
-        assert reference == _normalise(t.rows), (
+        assert reference == _normalise(thread.execute(sql).rows), (
             "thread backend diverges (seed=%d, i=%d): %s" % (seed, i, sql)
         )
-        assert t.rows == p.rows, (
-            "process backend not byte-identical (seed=%d, i=%d): %s"
-            % (seed, i, sql)
-        )
 
 
-def test_backend_sweep_really_used_both_backends(backend_engines):
-    """Guard against the sweep silently running threads three times.
-
-    Only numeric span reduces cross the process boundary (the random
-    corpus groups by strings, whose kernels close over Python dicts and
-    demote to threads), so the guard probes with integer-keyed group-bys
-    over a join — the shape that ships through shared memory.
-    """
-    dash, thread, proc = backend_engines
-    probe = (
-        "SELECT t.a, dim.w, COUNT(*), SUM(t.b), AVG(t.b)"
-        " FROM t JOIN dim ON t.c = dim.c GROUP BY t.a, dim.w ORDER BY 1, 2"
-    )
-    reference = _normalise(dash.execute(probe).rows)
-    assert reference == _normalise(thread.execute(probe).rows)
-    assert reference == _normalise(proc.execute(probe).rows)
-    assert thread.database.pool.backend == "thread"
-    assert thread.database.pool.process_runs_total == 0
-    pool = proc.database.pool
-    assert pool.backend == "process"
-    assert pool.runs_total > 0
-    assert pool.process_runs_total > 0, "no run ever reached a worker process"
-    assert pool.process_fallbacks_total > 0, "fallback path never exercised"
-
-
-def test_process_backend_agrees_after_crash_recovery():
-    """Crash recovery replayed under the process backend: a durable engine
-    loses its buffered tail, recovers by WAL replay, and must then answer
-    exactly like a serial engine fed the same durable prefix."""
-    from repro.durability import DurabilityManager
-    from repro.storage.filesystem import ClusterFileSystem
-
-    manager = DurabilityManager(ClusterFileSystem(), path="db", group_commit=1)
-    db = Database(
-        parallelism=4,
-        morsel_rows=257,
-        region_rows=512,
-        pool_backend="process",
-        durability=manager,
-    )
-    session = db.connect("db2")
-    oracle = Database().connect("db2")
-    ddl = "CREATE TABLE t (a INT, b INT, c VARCHAR(4), d DECIMAL(8,2))"
-    dim_ddl = "CREATE TABLE dim (c VARCHAR(4) PRIMARY KEY, w INT)"
-    rows = _build_rows(47)[:1200]
-    dims = ", ".join("('v%d', %d)" % (i, i * 10) for i in range(8))
-    for system in (session, oracle):
-        system.execute(ddl)
-        system.execute(dim_ddl)
-        for start in range(0, len(rows), 400):
-            system.execute(
-                "INSERT INTO t VALUES " + ", ".join(rows[start : start + 400])
-            )
-        system.execute("INSERT INTO dim VALUES " + dims)
-    db.checkpoint()
-    db.reopen(clean=False)  # crash: group_commit=1, so nothing is lost
-    flush_tables(db)
-    flush_tables(oracle.database)
-    rng = derive_rng(5, "diff-proc-recovery")
-    for i in range(12):
-        sql = _random_query(rng)
-        reference = _normalise(oracle.execute(sql).rows)
-        assert reference == _normalise(session.execute(sql).rows), (
-            "recovered process-backend engine diverges (i=%d): %s" % (i, sql)
-        )
-    assert db.pool.backend == "process"
-    db.pool.shutdown()
+def test_thread_is_the_only_pool_backend():
+    assert Database(pool_backend="thread").pool.process_fallbacks_total == 0
+    with pytest.raises(ValueError, match="pool_backend"):
+        Database(pool_backend="process")
 
 
 _HTAP_DDL = "CREATE TABLE t (a INT, b INT, c VARCHAR(4), d DECIMAL(8,2))"
@@ -440,31 +355,40 @@ def _writer_rows(n):
     return ["(%d, %d, 'w', 1.00)" % (100000 + i, i) for i in range(n)]
 
 
-def _trickle(session, statements, errors, start=None):
+def _trickle(session, statements, errors, start=None, committed=None):
     """Writer-thread body: auto-commit single-row inserts, one per call.
 
     With a ``start`` event the writer holds its first commit until the
-    event is set (a schedule handshake with the reader)."""
+    event is set; with a ``committed`` event it signals once its first
+    commit has landed (schedule handshakes with the reader)."""
     try:
         if start is not None:
             start.wait()
         for statement in statements:
             session.execute(statement)
+            if committed is not None:
+                committed.set()
     except BaseException as exc:  # lint-ok: broad-except (re-raised on the main thread after join)
         errors.append(exc)
+    finally:
+        if committed is not None:
+            committed.set()  # never leave the reader waiting on a failure
 
 
 def test_htap_backend_sweep_snapshot_reads_under_churn():
     """HTAP sweep: pinned-snapshot reads race a trickle writer, per backend.
 
-    For serial, thread-pool, and process-pool engines: the reader pins one
-    MVCC snapshot, records baseline answers for a random query batch, then
-    re-runs the same batch twice while an auto-commit writer trickles
-    single-row inserts into the scanned table.  Every churn-time answer
-    must be *byte-identical* to its baseline (the snapshot cannot see the
-    churn, and morsel workers must carry the statement snapshot), the
-    three backends must agree with each other, and a fresh snapshot at the
-    end must count every committed writer row exactly once.
+    For serial and thread-pool engines: the reader pins one MVCC snapshot,
+    records baseline answers for a random query batch, then re-runs the
+    same batch twice while an auto-commit writer trickles single-row
+    inserts into the scanned table.  The writer's first commit lands
+    before churn pass 1 (an Event handshake), and a fresh snapshot
+    between the passes must already see it, so the pinned reads really
+    run against a moved table.  Every churn-time answer must be
+    *byte-identical* to its baseline (the snapshot cannot see the churn,
+    and morsel workers must carry the statement snapshot), the backends
+    must agree with each other, and a fresh snapshot at the end must
+    count every committed writer row exactly once.
     """
     import threading
 
@@ -473,13 +397,11 @@ def test_htap_backend_sweep_snapshot_reads_under_churn():
     n_writer = 80
     inserts = ["INSERT INTO t VALUES %s" % r for r in _writer_rows(n_writer)]
     per_backend = []
-    for backend in (None, "thread", "process"):
+    for parallel in (False, True):
+        backend = "thread" if parallel else "serial"
         kwargs = {}
-        if backend is not None:
-            kwargs = dict(
-                parallelism=4, morsel_rows=257, region_rows=512,
-                pool_backend=backend,
-            )
+        if parallel:
+            kwargs = dict(parallelism=4, morsel_rows=257, region_rows=512)
         db = Database(**kwargs)
         session = db.connect("db2")
         _htap_load(session, seed=61, n_rows=1500)
@@ -495,13 +417,24 @@ def test_htap_backend_sweep_snapshot_reads_under_churn():
 
         baseline = [pinned(sql) for sql in queries]
         errors: list[BaseException] = []
+        committed = threading.Event()
         writer = threading.Thread(
-            target=_trickle, args=(db.connect("db2"), inserts, errors)
+            target=_trickle,
+            args=(db.connect("db2"), inserts, errors),
+            kwargs={"committed": committed},
         )
         writer.start()
-        during = [[pinned(sql) for sql in queries] for _ in range(2)]
-        writer.join()
+        assert committed.wait(timeout=60), "writer never committed"
+        during = [[pinned(sql) for sql in queries]]
+        between = int(session.execute("SELECT COUNT(*) FROM t").rows[0][0])
+        during.append([pinned(sql) for sql in queries])
+        writer.join(timeout=120)
+        assert not writer.is_alive(), "writer did not finish"
         assert not errors, errors[0]
+        assert between > base_count, (
+            "no writer commit landed before the churn passes (backend=%s)"
+            % backend
+        )
         for churn_pass in during:
             assert churn_pass == baseline, (
                 "pinned snapshot drifted under writer churn (backend=%s)"
@@ -513,8 +446,7 @@ def test_htap_backend_sweep_snapshot_reads_under_churn():
             "committed trickle rows lost (backend=%s)" % backend
         )
         per_backend.append((backend, [_normalise(r) for r in baseline]))
-        if backend is not None:
-            db.pool.shutdown()
+        db.pool.shutdown()
 
     _, serial_answers = per_backend[0]
     for backend, answers in per_backend[1:]:

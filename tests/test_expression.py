@@ -199,6 +199,8 @@ class TestCompareAndLogic:
         assert e2.eval_row({}) == 0
         e3 = Logical("OR", [Literal(1, BOOLEAN), Literal(None, BOOLEAN)])
         assert e3.eval_row({}) == 1
+        e4 = Logical("AND", [Literal(1, BOOLEAN), Literal(1, BOOLEAN)])
+        assert e4.eval_row({}) == 1  # BOOLEAN TRUE is exactly 1
 
 
 class TestPredicateForms:

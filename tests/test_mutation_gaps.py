@@ -146,6 +146,11 @@ class TestPlanCacheDefaultCapacity:
             cache.statement_ast(sql, lambda s=sql: parse_statement(s))
         assert len(cache._asts) == cache.capacity
         assert cache.stats.evictions == 1
+        # View parses obey the same capacity.
+        for i in range(cache.capacity + 1):
+            cache.view_ast("SELECT %d FROM t" % i, lambda text: text)
+        assert len(cache._views) == cache.capacity
+        assert cache.view_stats.evictions == 1
 
 
 class _ProbeClock:

@@ -2,8 +2,9 @@
 
 Four layers of evidence that parallelism never changes an answer:
 
-* unit tests for the scheduling model (``greedy_makespan``) and the
-  deterministic-gather contract of :class:`WorkerPool.map`;
+* unit tests for the scheduling model (``greedy_makespan``), the
+  morsel-batching helpers and the deterministic-gather contract of
+  :class:`WorkerPool.map`;
 * property tests that the fused span merge is invariant to morsel size
   and the pool gather to worker count;
 * end-to-end DOP-equivalence: the same SQL through a serial engine and a
@@ -23,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.database import Database
+from repro.engine import Batch, GroupByOp, VectorSourceOp
 from repro.engine.aggregate import AggregateSpec
 from repro.engine.expression import ColumnRef
 from repro.engine.fused import _reduce_span, compile_recipes, merge_fused
@@ -31,11 +33,15 @@ from repro.parallel import (
     PoolRun,
     TaskSpan,
     WorkerPool,
+    batch_items,
+    batch_size,
+    batch_spans,
     default_parallelism,
     greedy_makespan,
     morsel_ranges,
 )
-from repro.types import BIGINT, varchar_type
+from repro.storage.column import ColumnVector
+from repro.types import BIGINT, DOUBLE, INTEGER, varchar_type
 from repro.util.rng import derive_rng
 from repro.verify import sanitizer
 from repro.workloads.tpcds import flush_tables
@@ -188,6 +194,69 @@ class TestMorselRanges:
         with pytest.raises(ValueError):
             morsel_ranges(10, -1)
         assert morsel_ranges(10, 0) == [(0, 10)]  # 0 -> default size
+
+
+class TestMorselBatching:
+    def test_auto_batch_targets_two_tasks_per_worker(self):
+        # 64 items on 4 workers -> ceil(64 / 8) = 8 items per task.
+        assert batch_size(64, 4) == 8
+        assert batch_size(3, 4) == 1
+        assert batch_size(0, 4) == 1
+
+    def test_batch_items_preserves_order(self):
+        items = list(range(10))
+        groups = batch_items(items, 2)  # ceil(10 / 4) = 3 items per task
+        assert groups == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
+        assert [x for g in groups for x in g] == items
+
+    def test_batch_spans_merge_contiguous_morsels(self):
+        spans = batch_spans(100, 10, 2)  # 10 morsels, 3 per task
+        assert spans == [(0, 30), (30, 60), (60, 90), (90, 100)]
+        # Coverage is exact and ordered.
+        morsels = morsel_ranges(100, 10)
+        assert spans[0][0] == 0 and spans[-1][1] == morsels[-1][1]
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+
+
+class TestFloatGating:
+    """Order-dependent float aggregates must stay serial on a pool."""
+
+    def test_double_sum_stays_serial(self):
+        rng = np.random.default_rng(9)
+        g = rng.integers(0, 6, size=200).tolist()
+        d = (rng.random(200) * 100.0).tolist()
+        columns = {
+            "g": ColumnVector.from_boundary(g, INTEGER),
+            "d": ColumnVector.from_boundary(d, DOUBLE),
+        }
+
+        def group_by(pool=None):
+            return GroupByOp(
+                VectorSourceOp(Batch.from_columns(dict(columns))),
+                keys=[("kg", ColumnRef("g", INTEGER))],
+                aggregates=[
+                    AggregateSpec("SUM", [ColumnRef("d", DOUBLE)], "a_sum"),
+                    AggregateSpec("AVG", [ColumnRef("d", DOUBLE)], "a_avg"),
+                ],
+                pool=pool,
+                morsel_rows=13,
+            )
+
+        pool = WorkerPool(4, name="edge")
+        try:
+            op = group_by(pool)
+            assert not op.parallel_safe()
+            batch = op.run()
+            assert op.parallel_run is None, "float aggregate went parallel"
+            assert op.fused_mode is None
+            serial = group_by().run()
+            for alias in ("kg", "a_sum", "a_avg"):
+                assert (
+                    batch.columns[alias].to_boundary()
+                    == serial.columns[alias].to_boundary()
+                )
+        finally:
+            pool.shutdown()
 
 
 _TEXT = varchar_type(8)

@@ -311,6 +311,15 @@ class TestResultCache:
             parse_statement("SELECT * FROM v2"), db
         )
         assert deps == frozenset({"T"})
+        # Views nest up to eight deep; a ninth level is untrackable.
+        db.execute("CREATE VIEW w1 AS SELECT a FROM t")
+        for level in range(2, 10):
+            db.execute(
+                "CREATE VIEW w%d AS SELECT a FROM w%d" % (level, level - 1)
+            )
+        deep = read_dependencies(parse_statement("SELECT * FROM w8"), db)
+        assert deep == frozenset({"T"})
+        assert read_dependencies(parse_statement("SELECT * FROM w9"), db) is None
 
     def test_unknown_table_is_uncacheable(self, served):
         db, gw = served

@@ -269,6 +269,22 @@ class TestRegionVersionStamps:
         assert mask.tolist() == [False, True, True, True]
         assert region.live_count() == 3
 
+    def test_rollback_revives_deletes_on_ancient_regions(self):
+        # swap-xmin-xmax@src/repro/storage/table.py:355:15 survived one
+        # seed-0 run: guarding the delete undo in rollback_txn on ``xmin``
+        # instead of ``xmax`` skips ancient-created regions (xmin elided
+        # to None), so an aborted delete stays deleted.
+        table = ColumnTable(
+            TableSchema(name="r", columns=(("id", INTEGER),)), region_rows=4
+        )
+        table.insert_rows([[i] for i in range(4)])
+        region = table.regions[0]
+        assert region.xmin is None
+        region.mark_deleted(np.array([True, False, False, False]), txid=7)
+        assert region.live_count() == 3
+        table.rollback_txn(7)
+        assert region.live_count() == 4
+
     def test_visible_mask_fast_path_keys_on_deleter_stamps(self):
         # swap-xmin-xmax@src/repro/storage/table.py:118:19 survived: the
         # "every deleter committed long ago" fast path keyed on xmin_hi

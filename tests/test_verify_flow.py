@@ -37,8 +37,8 @@ def active(sources: dict[str, str], rules: list[str] | None = None):
 
 class TestWriteProtocol:
     def test_fires_on_entry_whose_closure_forgets_the_discipline(self):
-        # The mutation hides one helper deep — exactly where the old
-        # per-function durability-logging rule went blind.
+        # The mutation hides one helper deep, where a per-function check
+        # would go blind.
         findings = active({DB: """
             class Database:
                 def execute(self, node):
@@ -111,6 +111,29 @@ class TestWriteProtocol:
                     txn.commit()
             """}, ["write-protocol"])
         assert findings == []
+
+    def test_reproflow_owns_the_omission(self):
+        unlogged = """
+            class Database:
+                def _execute_insert(self, node):
+                    table = self._resolve(node)
+                    return table.insert_rows(node.rows)
+            """
+        # The public entry is what reproflow anchors on: make the helper
+        # reachable from one and the omission is reported there, once.
+        reachable = """
+            class Database:
+                def execute(self, node):
+                    return self._execute_insert(node)
+
+                def _execute_insert(self, node):
+                    table = self._resolve(node)
+                    return table.insert_rows(node.rows)
+            """
+        assert active({DB: unlogged}, ["write-protocol"]) == []
+        findings = active({DB: reachable}, ["write-protocol"])
+        assert len(findings) == 1
+        assert "Database.execute" in findings[0].message
 
 
 # -- snapshot-scope -----------------------------------------------------------
@@ -200,38 +223,21 @@ class TestSnapshotScope:
 
 
 class TestResourcePairing:
-    def test_fires_on_shared_memory_without_finally(self):
-        findings = active({"src/repro/parallel/ship.py": """
-            def ship(array):
-                from multiprocessing import shared_memory
-                shm = shared_memory.SharedMemory(create=True, size=array.nbytes)
-                fill(shm, array)
-                return shm.name
-            """}, ["resource-pairing"])
-        assert len(findings) == 1
-        assert "shared memory" in findings[0].message
-
     def test_quiet_when_nested_creates_release_in_outer_finally(self):
-        # The fused-kernel shipping idiom: a closure creates and
-        # registers segments, the outer finally releases every one.
-        findings = active({"src/repro/parallel/ship.py": """
-            def ship_all(arrays):
-                from multiprocessing import shared_memory
-                blocks = []
+        # A closure acquires, the outer finally releases: pairing is
+        # checked over the outermost function's whole lexical body.
+        findings = active({ENGINE: """
+            class Registry:
+                def update_all(self, items):
+                    def stage(key, value):
+                        self._lock.acquire()
+                        self._items[key] = value
 
-                def stage(array):
-                    shm = shared_memory.SharedMemory(
-                        create=True, size=array.nbytes
-                    )
-                    blocks.append(shm)
-                    return shm.name
-
-                try:
-                    return [stage(a) for a in arrays]
-                finally:
-                    for shm in blocks:
-                        shm.close()
-                        shm.unlink()
+                    try:
+                        for key, value in items:
+                            stage(key, value)
+                    finally:
+                        self._lock.release()
             """}, ["resource-pairing"])
         assert findings == []
 

@@ -43,7 +43,6 @@ class TestFramework:
             "unseeded-random",
             "lock-discipline",
             "broad-except",
-            "durability-logging",
             "stale-suppression",
         } <= names
 
@@ -468,81 +467,6 @@ class TestLockDiscipline:
             "lock-discipline",
         )
         assert findings == []
-
-
-# -- durability-logging (demoted to reproflow's write-protocol) ---------------
-
-
-class TestDurabilityLoggingDemoted:
-    """Regression fixtures for the demotion: the per-function rule is a
-    registered no-op and the same omission is reported exactly once —
-    by reproflow's interprocedural ``write-protocol`` rule."""
-
-    UNLOGGED = """
-        class Database:
-            def _execute_insert(self, node):
-                table = self._resolve(node)
-                return table.insert_rows(node.rows)
-        """
-
-    def test_rule_still_registered(self):
-        from repro.verify.lint import registered_rules
-
-        rule = registered_rules()["durability-logging"]
-        assert "write-protocol" in rule.description
-
-    def test_no_longer_fires_per_function(self):
-        # The exact fixture the old rule fired on: reprolint must stay
-        # silent now, or the omission would be double-reported alongside
-        # the reproflow finding.
-        findings = _active(
-            self.UNLOGGED, "src/repro/database/database.py",
-            "durability-logging",
-        )
-        assert findings == []
-
-    def test_reproflow_owns_the_omission(self):
-        from textwrap import dedent
-
-        from repro.verify.flow import analyze_sources
-
-        report = analyze_sources(
-            {"src/repro/database/database.py": dedent(self.UNLOGGED)},
-            rules=["write-protocol"],
-        )
-        # The public entry is what reproflow anchors on: make the helper
-        # reachable from one and the omission is reported there, once.
-        report2 = analyze_sources(
-            {"src/repro/database/database.py": dedent("""
-                class Database:
-                    def execute(self, node):
-                        return self._execute_insert(node)
-
-                    def _execute_insert(self, node):
-                        table = self._resolve(node)
-                        return table.insert_rows(node.rows)
-                """)},
-            rules=["write-protocol"],
-        )
-        assert report.active == []  # no public entry reaches the helper
-        assert len(report2.active) == 1
-        assert "Database.execute" in report2.active[0].message
-
-    def test_stale_suppressions_are_reported(self):
-        # The demotion left `lint-ok: durability-logging` comments in the
-        # tree with nothing to suppress; the stale-suppression meta-rule
-        # (mutant drop-commit-hook's cousin in spirit) now names them.
-        findings = _active(
-            """
-            class Database:
-                def _gather(self, table, rows):
-                    # lint-ok: durability-logging (session temp table)
-                    table.insert_rows(rows)
-            """,
-            "src/repro/database/database.py",
-        )
-        assert [f.rule for f in findings] == ["stale-suppression"]
-        assert "durability-logging" in findings[0].message
 
 
 # -- stale-suppression --------------------------------------------------------
