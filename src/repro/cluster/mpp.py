@@ -510,9 +510,19 @@ class Cluster:
         Shards dispatch onto the cluster worker pool in ascending shard-id
         order and the pool gathers results in that same submission order,
         so downstream combines (gather table inserts, two-phase global
-        aggregation) see a deterministic shard sequence at any DOP.
+        aggregation) see a deterministic shard sequence at any DOP.  A
+        statement that reads only replicated tables runs on one live
+        shard: every shard holds the whole table, so each would return
+        the same rows.
         """
         shard_ids = sorted(self.shards)
+        read = _referenced_cluster_tables(select, self.tables)
+        if all(self.tables[name].replicated for name in read):
+            live = [
+                sid for sid in shard_ids
+                if self.node_by_id(self.assignment[sid]).alive
+            ]
+            shard_ids = live[:1] or shard_ids[:1]
         for sid in shard_ids:
             self._check_owner_alive(sid)
         dialect = session.dialect.name

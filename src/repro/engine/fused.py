@@ -36,14 +36,10 @@ import numpy as np
 from repro.engine.expression import Batch, selection_mask
 from repro.engine.operators import FilterOp, ProjectOp, ScanStats, TableScanOp
 from repro.parallel.morsel import batch_items, batch_spans
-from repro.simd.factorize import factorize, factorize_int
+from repro.simd.factorize import key_codes
 from repro.storage.column import ColumnVector
 from repro.types.datatypes import BIGINT, DOUBLE
 from repro.verify import sanitizer
-
-#: Combined radix beyond which multi-column key packing would overflow
-#: int64; :func:`group_codes` re-densifies the packed prefix before it.
-_RADIX_LIMIT = 1 << 62
 
 _INT64_MAX = np.iinfo(np.int64).max
 _INT64_MIN = np.iinfo(np.int64).min
@@ -63,32 +59,15 @@ def group_codes(key_pairs):
     """Dense group ids plus per-group key columns for one row span.
 
     ``key_pairs`` is one ``(values, nulls-or-None)`` pair per key column.
-    Returns ``(ids, key_cols, k)``: int64 ids in ``0..k-1`` whose ascending
-    order is the group output order (per column NULL first, then values
-    ascending), and ``key_cols`` as ``(values, nulls)`` pairs holding each
-    group's key read from a representative row, with the physical filler
-    (0 / "") under NULL.
-
-    Per-column codes pack into one int64 radix code.  When the running
-    radix product would pass :data:`_RADIX_LIMIT`, the packed prefix is
-    re-densified with :func:`factorize_int` first; that is order-preserving
-    and bounds the prefix radix by the row count, so packing never
-    overflows and never raises.
+    Returns ``(ids, key_cols, k)``: int64 ids in ``0..k-1`` from
+    :func:`~repro.simd.factorize.key_codes`, whose ascending order is the
+    group output order (per column NULL first, then values ascending), and
+    ``key_cols`` as ``(values, nulls)`` pairs holding each group's key read
+    from a representative row, with the physical filler (0 / "") under
+    NULL.
     """
-    n = key_pairs[0][0].shape[0]
-    combined = np.zeros(n, dtype=np.int64)
-    size = 1
-    for values, nulls in key_pairs:
-        codes, uniq = factorize(values, nulls)
-        radix = uniq.size + 1
-        if size > _RADIX_LIMIT // radix:
-            combined, dense = factorize_int(combined)
-            size = dense.size + 1
-        combined = combined * radix + codes
-        size *= radix
-    packed_codes, packed_uniques = factorize_int(combined)
-    ids = packed_codes - 1
-    k = packed_uniques.size
+    ids, k = key_codes(key_pairs)
+    n = ids.shape[0]
     rep = np.empty(k, dtype=np.int64)
     rep[ids] = np.arange(n, dtype=np.int64)
     key_cols = []

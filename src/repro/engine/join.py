@@ -1,10 +1,12 @@
-"""Cache-conscious partitioned hash join (paper II.B.7).
+"""Vectorised hash join over dense key codes (paper II.B.7).
 
-The build side is partitioned by hash into chunks sized to fit a processor
-cache before hash tables are built — the Hybrid-Hash-Join / MonetDB lineage
-the paper cites.  The probe side is partitioned the same way, so each probe
-touches exactly one cache-sized table.  Join types: inner, left, right,
-full, semi, anti.
+Both sides' join keys map into one dense code space first — the
+"partition both sides the same way" step of a partitioned hash join,
+expressed as dictionary coding.  Per-code counts and starts over a stable
+build order then play the hash table: each probe row reads its matches
+as one contiguous run, in build-row order.  One kernel serves every DOP;
+a pool only splits the probe rows into spans.  Join types: inner, left,
+right, full, semi, anti.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import numpy as np
 
 from repro.engine.expression import Batch, Expr, selection_mask
 from repro.engine.operators import Operator
+from repro.parallel.morsel import batch_spans
+from repro.simd.factorize import direct_addressable, key_codes
 from repro.storage.column import ColumnVector
 
 
@@ -27,10 +31,6 @@ class JoinStats:
     matched_pairs: int = 0
     output_rows: int = 0
 
-#: Target build-partition size: rows per partition such that a small hash
-#: table stays cache-resident (an L2/L3-sized chunk in the paper's terms).
-DEFAULT_PARTITION_ROWS = 8_192
-
 _JOIN_TYPES = {"inner", "left", "right", "full", "semi", "anti"}
 
 
@@ -39,22 +39,15 @@ class HashJoinOp(Operator):
 
     Args:
         left / right: child operators (left is the probe side; right is
-            built into hash tables).
+            built into the per-code match table).
         left_keys / right_keys: equal-length column name lists.
         join_type: inner / left / right / full / semi / anti (semi and anti
-            emit only left columns).
+            emit only left columns).  A NULL key part never matches.
         residual: optional non-equi condition evaluated on joined rows.
-        partition_rows: advisory partition size.  The execution strategy
-            (factorise keys, sort the build side, binary-search probes) is
-            the vectorised analogue of cache-sized partitioning: the sort
-            clusters equal keys so each probe touches one dense run.  With
-            a parallel ``pool`` it doubles as the probe morsel size.
-        pool: optional :class:`~repro.parallel.pool.WorkerPool`.  When
-            parallel, probe morsels binary-search the (shared, read-only)
-            sorted build side concurrently; per-morsel match lists
-            concatenate in morsel order, which reproduces the serial
-            probe's output exactly (each probe row's matches depend only
-            on that row).
+        pool: optional :class:`~repro.parallel.pool.WorkerPool`.  Probe
+            rows split into batched morsel spans on it (inline at DOP 1);
+            each probe row's matches depend on that row alone, so span
+            results concatenated in span order are the one-span output.
     """
 
     def __init__(
@@ -65,7 +58,6 @@ class HashJoinOp(Operator):
         right_keys: list[str],
         join_type: str = "inner",
         residual: Expr | None = None,
-        partition_rows: int = DEFAULT_PARTITION_ROWS,
         pool=None,
     ):
         if join_type not in _JOIN_TYPES:
@@ -78,188 +70,28 @@ class HashJoinOp(Operator):
         self.right_keys = right_keys
         self.join_type = join_type
         self.residual = residual
-        self.partition_rows = partition_rows
         self.pool = pool
         self.stats = JoinStats()
         self.parallel_run = None
 
-    # -- helpers ---------------------------------------------------------------
-
-    @staticmethod
-    def _encoded_keys(probe: Batch, build: Batch, left_keys, right_keys):
-        """Factorise both sides' keys into comparable int64 codes.
-
-        Returns (probe_codes, probe_valid, build_codes, build_valid): equal
-        codes mean equal key tuples; rows with NULL key parts are invalid.
-        The factorisation pass is the "partition both sides the same way"
-        step of a partitioned join, expressed as vectorised dictionary
-        coding.
-        """
-        n_probe, n_build = probe.n, build.n
-        probe_valid = np.ones(n_probe, dtype=bool)
-        build_valid = np.ones(n_build, dtype=bool)
-        probe_combined = np.zeros(n_probe, dtype=np.int64)
-        build_combined = np.zeros(n_build, dtype=np.int64)
-        for lk, rk in zip(left_keys, right_keys):
-            lv = probe.columns[lk]
-            rv = build.columns[rk]
-            probe_valid &= ~lv.null_mask()
-            build_valid &= ~rv.null_mask()
-            left_vals, right_vals = _align_key_arrays(lv.values, rv.values)
-            union = np.concatenate([left_vals, right_vals])
-            distinct, inverse = np.unique(union, return_inverse=True)
-            lcodes = inverse[:n_probe].astype(np.int64)
-            rcodes = inverse[n_probe:].astype(np.int64)
-            radix = np.int64(max(1, distinct.size))
-            probe_combined = probe_combined * radix + lcodes
-            build_combined = build_combined * radix + rcodes
-        return probe_combined, probe_valid, build_combined, build_valid
-
-    def _direct_lookup_join(self, probe: Batch, build: Batch,
-                            matched_left: np.ndarray, pool):
-        """Direct-address probe for unique small-domain int64 build keys.
-
-        The workhorse analytical joins are foreign-key lookups against a
-        dimension table: one int64 key column, unique build values in a
-        dense-ish range.  For those, a direct lookup table replaces the
-        factorise→sort→binary-search pipeline (three ``O(n log n)`` passes)
-        with two ``O(n)`` scatter/gather passes.  Returns None when the
-        shape does not apply — multi-column keys, non-int64 keys, sparse
-        domains, duplicate build keys — leaving the sorted path's multi-
-        match ordering untouched.  Output is byte-identical to the sorted
-        probe: with unique build keys each probe row has 0 or 1 match, so
-        both paths emit matches in probe-row order.
-        """
-        if len(self.left_keys) != 1:
-            return None
-        lv = probe.columns[self.left_keys[0]]
-        rv = build.columns[self.right_keys[0]]
-        if lv.values.dtype != np.int64 or rv.values.dtype != np.int64:
-            return None
-        b_valid = ~rv.null_mask()
-        build_rows = np.nonzero(b_valid)[0]
-        if not build_rows.size:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        bvals = rv.values[build_rows]
-        bmin = int(bvals.min())
-        bmax = int(bvals.max())
-        span = bmax - bmin + 1
-        if span > 4 * (bvals.size + probe.n) + 65_536:
-            return None
-        offsets = bvals - bmin
-        if int(np.bincount(offsets, minlength=span).max()) > 1:
-            return None
-        lookup = np.full(span, -1, dtype=np.int64)
-        lookup[offsets] = build_rows
-        probe_rows = np.nonzero(~lv.null_mask())[0]
-        pk_live = lv.values[probe_rows]
-
-        def probe_span(rng):
-            start, stop = rng
-            rows = probe_rows[start:stop]
-            keys = pk_live[start:stop]
-            in_range = (keys >= bmin) & (keys <= bmax)
-            idx = np.where(in_range, keys - bmin, 0)
-            targets = lookup[idx]
-            hit = in_range & (targets >= 0)
-            return rows[hit], targets[hit]
-
-        from repro.parallel.morsel import batch_spans
-
-        spans = batch_spans(
-            probe_rows.size, self.partition_rows, pool.parallelism
-        )
-        if not spans:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        parts = pool.map(probe_span, spans, label="join-probe")
-        self.parallel_run = pool.last_run
-        li = np.concatenate([part[0] for part in parts])
-        ri = np.concatenate([part[1] for part in parts])
-        matched_left[li] = True
-        return li.astype(np.int64), ri.astype(np.int64)
-
-    def _vector_join(self, probe: Batch, build: Batch, matched_left: np.ndarray):
-        """Vectorised equi-join: factorise keys, sort the build side, and
-        probe with binary search — whole-column operations only."""
-        if self.pool is not None and self.pool.is_parallel:
-            fast = self._direct_lookup_join(probe, build, matched_left, self.pool)
-            if fast is not None:
-                return fast
-        pk, p_valid, bk, b_valid = self._encoded_keys(
+    def _vector_join(self, probe: Batch, build: Batch):
+        """Matched (probe row, build row) index pairs, in probe-row order
+        and, per probe row, in build-row order."""
+        probe_codes, build_rows, build_codes, k = join_codes(
             probe, build, self.left_keys, self.right_keys
         )
-        build_rows = np.nonzero(b_valid)[0]
-        if not build_rows.size:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        bk_live = bk[build_rows]
-        order = np.argsort(bk_live, kind="stable")
-        sorted_bk = bk_live[order]
-        sorted_build_rows = build_rows[order]
-        probe_rows = np.nonzero(p_valid)[0]
-        pk_live = pk[probe_rows]
+        probe_span = probe_kernel(probe_codes, build_rows, build_codes, k)
         pool = self.pool
-        if pool is not None and pool.is_parallel:
-            from repro.parallel.morsel import morsel_ranges
-
-            morsels = morsel_ranges(probe_rows.size, self.partition_rows)
-            if len(morsels) > 1:
-                return self._parallel_probe(
-                    pool, morsels, probe_rows, pk_live,
-                    sorted_bk, sorted_build_rows, matched_left,
-                )
-        lo = np.searchsorted(sorted_bk, pk_live, side="left")
-        hi = np.searchsorted(sorted_bk, pk_live, side="right")
-        counts = hi - lo
-        hit = counts > 0
-        matched_left[probe_rows[hit]] = True
-        total = int(counts.sum())
-        if total == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        li = np.repeat(probe_rows, counts)
-        starts = np.repeat(lo, counts)
-        cumulative = np.repeat(np.cumsum(counts) - counts, counts)
-        positions = starts + (np.arange(total) - cumulative)
-        ri = sorted_build_rows[positions]
-        return li.astype(np.int64), ri.astype(np.int64)
-
-    def _parallel_probe(self, pool, morsels, probe_rows, pk_live,
-                        sorted_bk, sorted_build_rows, matched_left):
-        """Probe morsels against the shared sorted build side in parallel.
-
-        Each probe row's matches are a function of that row alone
-        (``positions = lo[r] + 0..count[r]-1``), so concatenating the
-        per-morsel (li, ri) pairs in morsel order is byte-identical to the
-        single whole-column probe.  Workers only read the shared arrays and
-        write disjoint slices of nothing — ``matched_left`` updates happen
-        on the gather side.
-        """
-
-        def probe_morsel(rng):
-            start, stop = rng
-            rows = probe_rows[start:stop]
-            keys = pk_live[start:stop]
-            lo = np.searchsorted(sorted_bk, keys, side="left")
-            hi = np.searchsorted(sorted_bk, keys, side="right")
-            counts = hi - lo
-            hit_rows = rows[counts > 0]
-            total = int(counts.sum())
-            if total == 0:
-                empty = np.zeros(0, dtype=np.int64)
-                return hit_rows, empty, empty
-            li = np.repeat(rows, counts)
-            starts = np.repeat(lo, counts)
-            cumulative = np.repeat(np.cumsum(counts) - counts, counts)
-            positions = starts + (np.arange(total) - cumulative)
-            ri = sorted_build_rows[positions]
-            return hit_rows, li.astype(np.int64), ri.astype(np.int64)
-
-        parts = pool.map(probe_morsel, morsels, label="join-probe")
-        self.parallel_run = pool.last_run
-        for hit_rows, _, _ in parts:
-            matched_left[hit_rows] = True
-        li = np.concatenate([part[1] for part in parts])
-        ri = np.concatenate([part[2] for part in parts])
-        return li, ri
+        if pool is None:
+            parts = [probe_span((0, probe.n))]
+        else:
+            spans = batch_spans(probe.n, None, pool.parallelism)
+            parts = pool.map(probe_span, spans, label="join-probe")
+            self.parallel_run = pool.last_run
+        return (
+            np.concatenate([part[0] for part in parts]),
+            np.concatenate([part[1] for part in parts]),
+        )
 
     # -- execution ---------------------------------------------------------------
 
@@ -267,11 +99,11 @@ class HashJoinOp(Operator):
         build = self.right.run()
         probe = self.left.run()
         self.stats = JoinStats(build_rows=build.n, probe_rows=probe.n)
-        have_schemas = bool(probe.columns) and bool(build.columns)
         matched_left = np.zeros(probe.n, dtype=bool)
         matched_right = np.zeros(build.n, dtype=bool)
-        if have_schemas and probe.n and build.n:
-            li, ri = self._vector_join(probe, build, matched_left)
+        if probe.n and build.n:
+            li, ri = self._vector_join(probe, build)
+            matched_left[li] = True
         else:
             li = np.zeros(0, dtype=np.int64)
             ri = np.zeros(0, dtype=np.int64)
@@ -280,9 +112,9 @@ class HashJoinOp(Operator):
             joined = self._stitch(probe, build, li, ri)
             keep = selection_mask(self.residual, joined)
             # Residual failures void the match for outer bookkeeping.
-            matched_left[:] = False
-            matched_left[li[keep]] = True
             li, ri = li[keep], ri[keep]
+            matched_left[:] = False
+            matched_left[li] = True
         if ri.size:
             matched_right[ri] = True
         self.stats.matched_pairs = int(li.size)
@@ -330,6 +162,84 @@ class HashJoinOp(Operator):
 
     def _null_extend(self, kept: Batch, other: Batch, right_null: bool) -> Batch:
         return null_extend(kept, other, right_null)
+
+
+def join_codes(probe: Batch, build: Batch, left_keys, right_keys):
+    """Map both sides' join keys into one dense code space.
+
+    Returns ``(probe_codes, build_rows, build_codes, k)``: ``build_rows``
+    are the build rows with no NULL key part and ``build_codes`` their
+    codes in ``0..k-1``; probe codes lie in ``0..k``, where ``k`` means
+    "no match" (a NULL key part, or a key outside the build's range).
+    A single int64 key whose build values span a small range codes as
+    its offset from the build minimum — no pass over the probe's
+    distinct values; any other key shape factorises the union of both
+    sides with :func:`~repro.simd.factorize.key_codes`.
+    """
+    n_probe = probe.n
+    if len(left_keys) == 1:
+        lv = probe.columns[left_keys[0]]
+        rv = build.columns[right_keys[0]]
+        if lv.values.dtype == np.int64 and rv.values.dtype == np.int64:
+            build_rows = np.flatnonzero(~rv.null_mask())
+            bvals = rv.values[build_rows]
+            if bvals.size:
+                lo, hi = int(bvals.min()), int(bvals.max())
+                if direct_addressable(hi - lo + 1, bvals.size + n_probe):
+                    k = hi - lo + 1
+                    pv = lv.values
+                    hit = (pv >= lo) & (pv <= hi) & ~lv.null_mask()
+                    return np.where(hit, pv - lo, k), build_rows, bvals - lo, k
+    pairs = []
+    for lk, rk in zip(left_keys, right_keys):
+        lv = probe.columns[lk]
+        rv = build.columns[rk]
+        left_vals, right_vals = _align_key_arrays(lv.values, rv.values)
+        pairs.append((
+            np.concatenate([left_vals, right_vals]),
+            np.concatenate([lv.null_mask(), rv.null_mask()]),
+        ))
+    codes, k = key_codes(pairs)
+    null_part = np.logical_or.reduce([nulls for _, nulls in pairs])
+    codes[null_part] = k
+    build_rows = np.flatnonzero(~null_part[n_probe:])
+    return codes[:n_probe], build_rows, codes[n_probe:][build_rows], k
+
+
+def probe_kernel(probe_codes, build_rows, build_codes, k):
+    """The probe over dense codes, as a ``(start, stop) -> (li, ri)`` task.
+
+    Per-code counts and starts over a stable sort of the build codes give
+    each code's build rows as one run in build-row order; a probe row of
+    code ``c`` matches ``rows_by_code[starts[c]:starts[c] + counts[c]]``.
+    Code ``k`` has count 0.  When no code repeats — a key lookup against
+    a unique build side — each run is one slot, read with one gather.
+    """
+    counts = np.bincount(build_codes, minlength=k + 1)
+    if counts.max() < 2:
+        row_of_code = np.full(k + 1, -1, dtype=np.int64)
+        row_of_code[build_codes] = build_rows
+
+        def probe_unique(span):
+            start, stop = span
+            targets = row_of_code[probe_codes[start:stop]]
+            hits = np.flatnonzero(targets >= 0)
+            return hits + start, targets[hits]
+
+        return probe_unique
+    rows_by_code = build_rows[np.argsort(build_codes, kind="stable")]
+    starts = np.cumsum(counts) - counts
+
+    def probe_span(span):
+        start, stop = span
+        codes = probe_codes[start:stop]
+        n_matches = counts[codes]
+        li = np.repeat(np.arange(start, stop, dtype=np.int64), n_matches)
+        run_base = starts[codes] - (np.cumsum(n_matches) - n_matches)
+        positions = np.repeat(run_base, n_matches) + np.arange(li.size)
+        return li, rows_by_code[positions]
+
+    return probe_span
 
 
 def _align_key_arrays(left: np.ndarray, right: np.ndarray):

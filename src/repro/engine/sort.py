@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.engine.expression import Batch, Expr
 from repro.engine.operators import Operator
+from repro.simd.factorize import factorize
 
 
 @dataclass
@@ -54,13 +55,12 @@ class SortOp(Operator):
 def _sortable_rank(values: np.ndarray, nulls: np.ndarray, key: SortKey) -> np.ndarray:
     """Produce an int rank array encoding direction and null placement."""
     # Dense-rank the values so equal values share a rank (ties must not
-    # perturb later, less-significant sort keys).
-    uniq, inverse = np.unique(values, return_inverse=True)
-    numeric = inverse.astype(np.int64)
-    span = len(uniq)
+    # perturb later, less-significant sort keys): NULL rows take code 0,
+    # the k distinct values 1..k ascending.
+    rank, uniq = factorize(values, nulls)
+    span = uniq.size
     if not key.ascending:
-        numeric = span - numeric
+        rank = span + 1 - rank
     # Push NULLs beyond either end.
-    numeric = numeric + 1  # reserve 0 / span+2 for nulls
-    numeric[nulls] = 0 if key.nulls_go_first() else span + 2
-    return numeric
+    rank[nulls] = 0 if key.nulls_go_first() else span + 1
+    return rank

@@ -14,10 +14,11 @@ surrogate ids — so these kernels factorise in ``O(n)``:
 * everything else falls back to ``np.unique``.
 
 All paths produce the same contract: NULL takes code 0 and non-NULL values
-take codes ``1..k`` in ascending value order.  ``repro.engine.fused.group_codes``
-packs these per-column codes into one radix code and, for wide keys,
+take codes ``1..k`` in ascending value order.  :func:`key_codes` packs these
+per-column codes into one dense multi-column key code and, for wide keys,
 re-densifies the packed prefix with :func:`factorize_int` — the ranks are
-order-preserving, so group output stays NULL first, then ascending.
+order-preserving, so group output stays NULL first, then ascending.  Every
+GROUP BY, DISTINCT, set operation and hash join encodes its keys with it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,16 @@ import numpy as np
 #: would thrash cache for no win and the sort-based path takes over.
 _DIRECT_SPAN_FACTOR = 4
 _DIRECT_SPAN_SLACK = 1024
+
+#: Combined radix beyond which multi-column key packing would overflow
+#: int64; :func:`key_codes` re-densifies the packed prefix before it.
+_RADIX_LIMIT = 1 << 62
+
+
+def direct_addressable(span: int, rows: int) -> bool:
+    """Whether a table indexed by ``value - min`` over ``span`` slots is
+    worth building for ``rows`` rows (else sorting is cheaper)."""
+    return span <= _DIRECT_SPAN_FACTOR * rows + _DIRECT_SPAN_SLACK
 
 
 def factorize_int(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -43,7 +54,7 @@ def factorize_int(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lo = int(values.min())
     hi = int(values.max())
     span = hi - lo + 1
-    if span <= _DIRECT_SPAN_FACTOR * values.size + _DIRECT_SPAN_SLACK:
+    if direct_addressable(span, values.size):
         shifted = values - lo
         present = np.zeros(span, dtype=bool)
         present[shifted] = True
@@ -101,3 +112,32 @@ def factorize(
     codes = np.zeros(n, dtype=np.int64)
     codes[live] = live_codes
     return codes, uniques
+
+
+def key_codes(key_pairs) -> tuple[np.ndarray, int]:
+    """Dense codes for a multi-column key, one per row.
+
+    ``key_pairs`` is one ``(values, nulls-or-None)`` pair per key column,
+    all of one length.  Returns ``(codes, k)``: int64 codes in ``0..k-1``
+    that are equal exactly when the key tuples are equal (NULL equal to
+    NULL), ordered per column NULL first, then ascending.
+
+    Per-column :func:`factorize` codes pack into one int64 radix code.
+    When the running radix product would pass :data:`_RADIX_LIMIT`, the
+    packed prefix is re-densified with :func:`factorize_int` first; that
+    is order-preserving and bounds the prefix radix by the row count, so
+    packing never overflows and never raises.
+    """
+    n = key_pairs[0][0].shape[0]
+    combined = np.zeros(n, dtype=np.int64)
+    size = 1
+    for values, nulls in key_pairs:
+        codes, uniq = factorize(values, nulls)
+        radix = uniq.size + 1
+        if size > _RADIX_LIMIT // radix:
+            combined, dense = factorize_int(combined)
+            size = dense.size + 1
+        combined = combined * radix + codes
+        size *= radix
+    packed, uniques = factorize_int(combined)
+    return packed - 1, uniques.size

@@ -930,12 +930,36 @@ class SelectPlanner:
         if op == "UNION":
             combined = ChainOp([left.op, rename])
             return _distinct(PlannedQuery(combined, left.names, left.keys, dtypes))
-        join_type = "semi" if op == "INTERSECT" else "anti"
-        joined = HashJoinOp(
-            left.op, rename, left.keys, left.keys, join_type=join_type,
-            pool=self.pool,
+        # INTERSECT / EXCEPT: tag each row with its side, group on the
+        # whole row (NULLs group together, as set operations require) and
+        # keep the groups whose side tags qualify.
+        tag = ColumnRef("__SIDE", BIGINT)
+        sides = []
+        for side, (child, side_dtypes) in enumerate(
+            ((left.op, left.dtypes), (rename, right.dtypes))
+        ):
+            outputs = [
+                (key, ColumnRef(key, dt)) for key, dt in zip(left.keys, side_dtypes)
+            ]
+            sides.append(ProjectOp(child, outputs + [(tag.name, Literal(side, BIGINT))]))
+        keys = [(key, ColumnRef(key, dt)) for key, dt in zip(left.keys, dtypes)]
+        grouped = GroupByOp(
+            ChainOp(sides),
+            keys=keys,
+            aggregates=[
+                AggregateSpec("MIN", [tag], "__SIDE_MIN"),
+                AggregateSpec("MAX", [tag], "__SIDE_MAX"),
+            ],
+            pool=self.pool, morsel_rows=self.morsel_rows,
         )
-        return _distinct(PlannedQuery(joined, left.names, left.keys, dtypes))
+        side_min = ColumnRef("__SIDE_MIN", BIGINT)
+        side_max = ColumnRef("__SIDE_MAX", BIGINT)
+        if op == "INTERSECT":
+            keep = Compare("<", side_min, side_max)
+        else:
+            keep = Compare("=", side_max, Literal(0, BIGINT))
+        result = ProjectOp(FilterOp(grouped, keep), keys)
+        return PlannedQuery(result, left.names, left.keys, dtypes)
 
     # -- ORDER BY / LIMIT ---------------------------------------------------------------
 

@@ -59,6 +59,7 @@ DEFAULT_TARGET_PATHS = (
     "src/repro/parallel/morsel.py",
     "src/repro/engine/aggregate.py",
     "src/repro/engine/fused.py",
+    "src/repro/engine/join.py",
     "src/repro/engine/expression.py",
     "src/repro/durability/manager.py",
     "src/repro/database/database.py",

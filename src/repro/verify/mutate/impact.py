@@ -19,7 +19,8 @@ The map answers two queries:
 
 * ``tests_reaching(module, qualname)`` — test files whose transitive call
   closure contains the symbol, most-specific first (direct call edges to
-  the symbol, then into its module, then smallest closure);
+  the symbol, then to the functions it is nested in, then into its
+  module, then smallest closure);
 * ``symbol_at(module, lineno)`` — the innermost function enclosing a
   source line, i.e. the symbol a mutation at that line lands in.
 """
@@ -177,9 +178,11 @@ class ImpactMap:
         """Test files reaching ``module::qualname``, most specific first.
 
         Specificity ranks by (1) direct call edges from the test file to
-        the mutated symbol itself, then (2) direct edges into the mutant's
+        the mutated symbol itself, then (2) direct edges to the functions
+        it is nested in — a nested function runs only inside them, and no
+        test can call it by name — then (3) direct edges into the mutant's
         module — the signals that survive the deliberately
-        over-approximated transitive closure — then (3) closure size
+        over-approximated transitive closure — then (4) closure size
         (smaller = more focused), then name for determinism.
 
         ``qualname=None`` (a module-level mutation site) widens to every
@@ -193,8 +196,15 @@ class ImpactMap:
             for info in self._by_module.get(module, []):
                 files |= self.reached_by.get(info.key, set())
         key = (module, qualname)
+        functions = {info.qualname for info in self._by_module.get(module, [])}
+        parts = (qualname or "").split(".")
+        enclosing = [
+            (module, ".".join(parts[:i])) for i in range(1, len(parts))
+            if ".".join(parts[:i]) in functions
+        ]
         return sorted(files, key=lambda f: (
             -self.symbol_refs.get(f, {}).get(key, 0),
+            -sum(self.symbol_refs.get(f, {}).get(k, 0) for k in enclosing),
             -self.direct_refs.get(f, {}).get(module, 0),
             self.closure_size.get(f, 0),
             f,

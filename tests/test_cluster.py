@@ -67,6 +67,59 @@ class TestShardPlacement:
         )
 
 
+class TestReplicatedReads:
+    """A replicated table holds every row on every shard, so a statement
+    reading only replicated tables must see each row once, not once per
+    shard, whatever distributed mode runs it."""
+
+    @pytest.fixture(scope="class")
+    def rs(self):
+        cluster, s = make_cluster(rows=0)
+        s.execute("CREATE TABLE rep (k INT, v VARCHAR(5)) DISTRIBUTE BY REPLICATION")
+        s.execute("INSERT INTO rep VALUES (1, 'a'), (2, 'b')")
+        return cluster, s
+
+    def test_scatter_reads_one_copy(self, rs):
+        cluster, s = rs
+        assert s.execute("SELECT k, v FROM rep ORDER BY k").rows == [(1, "a"), (2, "b")]
+        assert cluster.last_stats.mode == "scatter"
+        assert cluster.last_stats.shards_touched == 1
+
+    def test_two_phase_counts_one_copy(self, rs):
+        cluster, s = rs
+        assert s.execute("SELECT COUNT(*), SUM(k) FROM rep").rows == [(2, 3)]
+        assert cluster.last_stats.mode == "two-phase"
+
+    def test_gather_fallback_gathers_one_copy(self, rs):
+        cluster, s = rs
+        rows = s.execute(
+            "SELECT k FROM rep WHERE k > (SELECT MIN(k) FROM rep)"
+        ).rows
+        assert rows == [(2,)]
+        assert cluster.last_stats.mode == "gather-fallback"
+        assert cluster.last_stats.rows_gathered == 2
+
+    def test_join_with_distributed_table_still_scatters(self, rs):
+        cluster, s = rs
+        s.execute("CREATE TABLE fact (id INT, k INT) DISTRIBUTE BY HASH (id)")
+        s.execute("INSERT INTO fact VALUES " + ", ".join(
+            "(%d, %d)" % (i, 1 + i % 2) for i in range(40)
+        ))
+        rows = s.execute(
+            "SELECT r.v, COUNT(*) FROM fact f JOIN rep r ON f.k = r.k"
+            " GROUP BY r.v ORDER BY r.v"
+        ).rows
+        assert rows == [("a", 20), ("b", 20)]
+        assert cluster.last_stats.shards_touched == cluster.n_shards
+
+    def test_replicated_read_survives_failover(self):
+        cluster, s = make_cluster(rows=0)
+        s.execute("CREATE TABLE rep (k INT) DISTRIBUTE BY REPLICATION")
+        s.execute("INSERT INTO rep VALUES (1), (2), (3)")
+        fail_node(cluster, "node0")
+        assert s.execute("SELECT COUNT(*) FROM rep").scalar() == 3
+
+
 class TestDistributedQueries:
     @pytest.fixture(scope="class")
     def cs(self):

@@ -235,6 +235,10 @@ class TestPredicateForms:
         e = Like(col("s", varchar_type(10)), "p%")
         assert list(e.eval(batch).values) == [0, 1, 0, 1]
 
+    def test_not_like_is_a_zero_one_boolean(self, batch):
+        e = Like(col("s", varchar_type(10)), "p%", negated=True)
+        assert list(e.eval(batch).values) == [1, 0, 1, 0]
+
     def test_like_underscore_and_escape(self, batch):
         e = Like(col("s", varchar_type(10)), "p_ar")
         assert list(e.eval(batch).values) == [0, 1, 0, 0]

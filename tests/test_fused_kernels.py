@@ -36,7 +36,7 @@ from repro.engine import (
 )
 from repro.engine import fused
 from repro.engine.expression import make_arith
-from repro.engine.operators import FilterOp, ProjectOp, TableScanOp
+from repro.engine.operators import FilterOp, ProjectOp, SimplePredicate, TableScanOp
 from repro.engine.row_engine import RowFilter, RowGroupBy, RowProject, RowSource
 from repro.parallel import WorkerPool
 from repro.simd import factorize
@@ -226,7 +226,9 @@ def test_scan_agg_fusion_matches_row_engine(pool):
     """Scan->aggregate fusion over a filter->project chain on a
     multi-region table: compiles, runs fused, matches the row engine —
     also for a COUNT(*)-only plan, whose pruned projection keeps one
-    column as the row-count carrier."""
+    column as the row-count carrier, and with the predicate pushed into
+    the scan, where synopsis skipping returns no batch for whole
+    regions."""
     g = [None if i % 11 == 0 else i % 4 for i in range(300)]
     s = [None if i % 7 == 0 else ["aa", "bb", "cc"][i % 3] for i in range(300)]
     x = [None if i % 13 == 0 else i - 150 for i in range(300)]
@@ -236,26 +238,28 @@ def test_scan_agg_fusion_matches_row_engine(pool):
     )
     table.insert_rows(list(zip(g, s, x)))
     table.flush()
-    predicate = ("x", ">", -100)
     outputs = [
         ("g", ColumnRef("g", INTEGER)),
         ("s", ColumnRef("s", _VARCHAR)),
         ("y", make_arith("+", ColumnRef("x", INTEGER), Literal(7, INTEGER))),
     ]
-    cases = [
-        (
-            _KEY_CHOICES["int+str"],
-            [
-                _AGG_CHOICES["count_star"],
-                AggregateSpec("SUM", [ColumnRef("y", INTEGER)], "a_sum"),
-                AggregateSpec("MAX", [ColumnRef("y", INTEGER)], "a_max"),
-                _AGG_CHOICES["min_s"],
-            ],
-        ),
-        ([], [_AGG_CHOICES["count_star"]]),
+    mixed = [
+        _AGG_CHOICES["count_star"],
+        AggregateSpec("SUM", [ColumnRef("y", INTEGER)], "a_sum"),
+        AggregateSpec("MAX", [ColumnRef("y", INTEGER)], "a_max"),
+        _AGG_CHOICES["min_s"],
     ]
-    for keys, aggregates in cases:
-        scan = TableScanOp(table, ["g", "s", "x"], pool=pool)
+    cases = [
+        (_KEY_CHOICES["int+str"], mixed, ("x", ">", -100), False),
+        ([], [_AGG_CHOICES["count_star"]], ("x", ">", -100), False),
+        # x > 60 rules out the first three 64-row regions by synopsis;
+        # x > 147 leaves one row in the last region and skips the rest.
+        (_KEY_CHOICES["int+str"], mixed, ("x", ">", 60), True),
+        (_KEY_CHOICES["int+str"], mixed, ("x", ">", 147), True),
+    ]
+    for keys, aggregates, predicate, push in cases:
+        pushed = [SimplePredicate(*predicate)] if push else None
+        scan = TableScanOp(table, ["g", "s", "x"], pushed=pushed, pool=pool)
         op = GroupByOp(
             ProjectOp(FilterOp(scan, _predicate_expr(predicate)), outputs),
             keys=keys,
@@ -271,7 +275,7 @@ def test_scan_agg_fusion_matches_row_engine(pool):
         expected = _reference(g, s, x, keys, aggregates, predicate, outputs)
         assert _rows(Batch.from_columns(columns), aliases) == expected
         assert n_groups == len(expected)
-        assert input_rows == sum(1 for v in x if v is not None and v > -100)
+        assert input_rows == sum(1 for v in x if v is not None and v > predicate[2])
 
 
 def test_empty_input_matches_serial(pool):

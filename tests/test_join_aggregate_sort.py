@@ -15,7 +15,7 @@ from repro.engine import (
     SortOp,
     VectorSourceOp,
 )
-from repro.engine.join import NestedLoopJoinOp
+from repro.engine.join import NestedLoopJoinOp, join_codes, probe_kernel
 from repro.storage.column import ColumnVector
 from repro.types import DOUBLE, INTEGER, varchar_type
 
@@ -103,17 +103,6 @@ class TestHashJoin:
         batch = HashJoinOp(left, right, ["k"], ["k"], residual=residual).run()
         assert batch.columns["lv"].values.tolist() == [15]
 
-    def test_partitioned_matches_monolithic(self):
-        rng = np.random.default_rng(0)
-        lk = rng.integers(0, 500, 3000).tolist()
-        rk = rng.integers(0, 500, 1000).tolist()
-        left = lambda: source(k=lk, lv=list(range(3000)))
-        right = lambda: source(k=rk, rv=list(range(1000)))
-        part = HashJoinOp(left(), right(), ["k"], ["k"], partition_rows=64).run()
-        mono = HashJoinOp(left(), right(), ["k"], ["k"], partition_rows=0).run()
-        key = lambda b: sorted(zip(b.columns["lv"].values.tolist(), b.columns["rv"].values.tolist()))
-        assert key(part) == key(mono)
-
     def test_validation(self):
         left = source(k=[1])
         right = source(k=[1])
@@ -127,6 +116,58 @@ class TestHashJoin:
         right = source(k=[1], rv=[1])
         assert HashJoinOp(left, right, ["k"], ["k"]).run().n == 0
         assert HashJoinOp(right, left, ["k"], ["k"], join_type="left").run().n == 1
+
+
+class TestJoinCodes:
+    """The encoder and probe kernel behind every HashJoinOp."""
+
+    def test_offset_codes_cover_the_whole_build_range(self):
+        probe = source(k=[9, 5, 4, 10, None, 7]).run()
+        build = source(k=[5, 7, 7, 9]).run()
+        codes, build_rows, build_codes, k = join_codes(probe, build, ["k"], ["k"])
+        # Build span 5..9 codes as the offset from 5; k = 5 is "no match"
+        # (below or above the span, or NULL).
+        assert k == 5
+        assert codes.tolist() == [4, 0, 5, 5, 5, 2]
+        assert build_rows.tolist() == [0, 1, 2, 3]
+        assert build_codes.tolist() == [0, 2, 2, 4]
+
+    def test_union_codes_share_one_space_and_drop_null_parts(self):
+        probe = source(a=["x", "y", None, "z"], b=[1, 2, 3, 1]).run()
+        build = source(a=["y", "x", "x", None], b=[2, 1, 1, 1]).run()
+        codes, build_rows, build_codes, k = join_codes(
+            probe, build, ["a", "b"], ["a", "b"]
+        )
+        assert build_rows.tolist() == [0, 1, 2]
+        assert build_codes[1] == build_codes[2] == codes[0]
+        assert build_codes[0] == codes[1]
+        assert codes[2] == k  # NULL key part never matches
+        assert codes[3] not in set(build_codes.tolist())
+
+    def test_probe_kernel_emits_matches_in_build_row_order(self):
+        probe_codes = np.array([2, 0, 3, 1, 2], dtype=np.int64)
+        build_rows = np.array([0, 2, 3, 4, 5], dtype=np.int64)
+        build_codes = np.array([2, 0, 2, 1, 0], dtype=np.int64)
+        probe = probe_kernel(probe_codes, build_rows, build_codes, 3)
+        li, ri = probe((0, 5))
+        assert li.tolist() == [0, 0, 1, 1, 3, 4, 4]
+        assert ri.tolist() == [0, 3, 2, 5, 4, 0, 3]
+        # Spans concatenate to the one-span answer.
+        parts = [probe(span) for span in [(0, 2), (2, 3), (3, 5)]]
+        assert np.concatenate([p[0] for p in parts]).tolist() == li.tolist()
+        assert np.concatenate([p[1] for p in parts]).tolist() == ri.tolist()
+
+    def test_probe_kernel_unique_build_reads_one_slot_per_code(self):
+        probe_codes = np.array([2, 0, 3, 1, 2], dtype=np.int64)
+        build_rows = np.array([0, 4, 7], dtype=np.int64)
+        build_codes = np.array([2, 0, 1], dtype=np.int64)
+        probe = probe_kernel(probe_codes, build_rows, build_codes, 3)
+        li, ri = probe((0, 5))
+        assert li.tolist() == [0, 1, 3, 4]
+        assert ri.tolist() == [0, 4, 7, 0]
+        li, ri = probe((3, 5))
+        assert li.tolist() == [3, 4]
+        assert ri.tolist() == [7, 0]
 
 
 class TestNestedLoopJoin:

@@ -395,6 +395,46 @@ class TestImpactMap:
             "tests/test_direct.py", "tests/test_via_facade.py",
         )
 
+    def test_nested_function_ranks_callers_of_its_enclosing_function(self):
+        """No test can call a nested function by name, so a test file
+        calling the function it is nested in must outrank one that only
+        reaches it through a facade, however often it calls the facade."""
+        sources = {
+            "src/mini/core.py": textwrap.dedent("""\
+                def run(items):
+                    def task(item):
+                        return item + 1
+                    return [task(item) for item in items]
+
+
+                def facade():
+                    return run([1])
+            """),
+            "tests/test_direct.py": textwrap.dedent("""\
+                from mini.core import run
+
+
+                def test_run():
+                    assert run([1, 2]) == [2, 3]
+            """),
+            "tests/test_via_facade.py": textwrap.dedent("""\
+                from mini.core import facade
+
+
+                def test_facade():
+                    assert facade() == [2]
+                    assert facade() == facade()
+            """),
+        }
+        impact = ImpactMap.build(sources)
+        # More direct edges into the module from the facade test...
+        assert impact.direct_refs["tests/test_via_facade.py"]["src/mini/core.py"] > \
+            impact.direct_refs["tests/test_direct.py"]["src/mini/core.py"]
+        # ...but only test_direct calls the function task is nested in.
+        assert impact.tests_reaching("src/mini/core.py", "run.task") == [
+            "tests/test_direct.py", "tests/test_via_facade.py",
+        ]
+
 
 def _strip_volatile(report: dict) -> dict:
     """Drop timing fields: everything else must be run-to-run identical."""
